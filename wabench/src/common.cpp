@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -62,13 +63,29 @@ double median(std::vector<double> v) {
   return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
 }
 
-Tail tail(std::vector<double> v) {
-  if (v.empty()) return {};
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  if (n <= kTailBeyond) return {v.back(), 100.0, 0};
-  const std::size_t rank = n - kTailBeyond - 1;  // 0-based
-  return {v[rank], 100.0 * double(rank + 1) / double(n), n - rank - 1};
+Tail tail(const std::vector<double>& run) {
+  if (run.empty()) return {};
+  const std::size_t n = run.size();
+  if (n < kTailMinSamples) {
+    return {*std::max_element(run.begin(), run.end()), 100.0, 0};
+  }
+  std::vector<double> block_tails;
+  for (std::size_t b = 0; b < kTailBlocks; ++b) {
+    std::vector<double> v(run.begin() + std::ptrdiff_t(b * n / kTailBlocks),
+                          run.begin() +
+                              std::ptrdiff_t((b + 1) * n / kTailBlocks));
+    std::sort(v.begin(), v.end());
+    const std::size_t m = v.size();
+    // 0-based rank: at most the percentile cap, and enough samples above.
+    const std::size_t rank = std::min(m * kTailMaxPercentile / 100 - 1,
+                                      m - kTailBeyondPerBlock - 1);
+    block_tails.push_back(v[rank]);
+  }
+  std::sort(block_tails.begin(), block_tails.end());
+  const double value = std::max(block_tails[kTailBlocks / 2], median(run));
+  const auto beyond = std::size_t(std::count_if(
+      run.begin(), run.end(), [value](double x) { return x > value; }));
+  return {value, 100.0 * double(n - beyond) / double(n), beyond};
 }
 
 void Ledger::record(const OpResult& r) {

@@ -52,19 +52,33 @@ struct OpResult {
 /// must have passed its checksum.  Returns the first failure or "".
 std::string identity_failure(const OpResult& got, const OpResult& ref);
 
-/// The highest percentile of a sample that still has at least
-/// kTailBeyond samples above it.
+/// The tail of a run's operation times, in run order.  The run is cut
+/// into kTailBlocks consecutive blocks; each block's tail is its highest
+/// percentile, at most the kTailMaxPercentile-th, that still has
+/// kTailBeyondPerBlock samples above it (ten samples beyond the block
+/// tails in all), and the run's tail is the median of the block tails,
+/// or the run's median if that is higher (a run that sped up halfway).
+/// A shared host slows everything down in spells of tens of seconds: a
+/// spell over one or two blocks moves their tails but not the median,
+/// where one percentile over the whole run jumps with whether the run
+/// met a spell at all.
 struct Tail {
   double value = 0;
-  double percentile = 0;  ///< in percent
-  std::size_t beyond = 0;  ///< samples strictly above the chosen rank
+  double percentile = 0;   ///< share of the whole run at or below value, %
+  std::size_t beyond = 0;  ///< samples of the whole run above value
 };
-inline constexpr std::size_t kTailBeyond = 10;
+inline constexpr std::size_t kTailBlocks = 5;
+inline constexpr std::size_t kTailBeyondPerBlock = 2;
+inline constexpr std::size_t kTailMaxPercentile = 90;
+/// Operations a run needs for the tail rule.
+inline constexpr std::size_t kTailMinSamples =
+    kTailBlocks * (kTailBeyondPerBlock + 1);
 
 double median(std::vector<double> v);
-/// Tail rule; with too few samples for ten beyond it, the maximum with
-/// beyond = 0 (the caller reports the run as too short).
-Tail tail(std::vector<double> v);
+/// Tail rule over @p run in run order; with fewer than kTailMinSamples
+/// samples, the maximum with beyond = 0 (the caller reports the run as
+/// too short).
+Tail tail(const std::vector<double>& run);
 
 /// Attempted and failed operations, with the first failure's reason.
 class Ledger {

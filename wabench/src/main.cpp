@@ -5,8 +5,11 @@
 //
 // One process, one caller, a closed loop: each operation is issued only
 // after the previous one finished and was checked.  Every operation
-// runs on ThreadedBackend (min(nproc, 4) workers) + ShmTransport, the
-// configuration in which every layer does real work.  Before the loop,
+// runs on ThreadedBackend + ShmTransport, the configuration in which
+// every layer does real work.  The pool has half the cores, at least
+// one and at most four workers: with a worker on every vCPU of a shared
+// host, each phase waits for whichever vCPU the host takes away, and
+// the tail measures that instead of the program.  Before the loop,
 // each pooled input runs once under SerialSimBackend + SimTransport:
 // that is the plain single-threaded baseline and the reference every
 // timed operation's counters and output bits must equal.
@@ -24,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -46,7 +50,7 @@ struct Args {
   std::uint64_t seed = 0;
   double seconds = 0;
   bool trace = false;
-  std::size_t threads = 0;  ///< min(nproc, 4)
+  std::size_t threads = 0;  ///< clamp(nproc / 2, 1, 4)
   std::string trace_out;
 };
 
@@ -95,8 +99,8 @@ Args parse(int argc, char** argv) {
   if (a.workload.empty() || !have_seed || !have_trace || a.seconds <= 0) {
     usage("--workload, --seed, --seconds (> 0) and --trace are required");
   }
-  a.threads = std::min<std::size_t>(
-      4, std::max(1u, std::thread::hardware_concurrency()));
+  a.threads = std::clamp<std::size_t>(
+      std::thread::hardware_concurrency() / 2, 1, 4);
   return a;
 }
 
@@ -135,7 +139,8 @@ struct Loop {
 };
 
 /// Runs operations for @p budget seconds, and until every loop has
-/// enough for the tail rule.  With several loops (the traced run) the
+/// enough for the tail rule.  @p between runs after every operation,
+/// outside its timing.  With several loops (the traced run) the
 /// operations alternate between them, each input going to every loop in
 /// turn, so host-load swings hit the traced and untraced machines
 /// alike.  Every operation is checked against the workload's own
@@ -143,15 +148,24 @@ struct Loop {
 /// traced operation is also compared with the untraced one.
 void closed_loop(const Workload& w, std::vector<Loop>& loops,
                  const std::vector<OpResult>& refs, double budget,
-                 Ledger& ledger) {
+                 Ledger& ledger, const std::function<void()>& between) {
   std::vector<OpResult> untraced(w.pool());
   std::vector<bool> have(w.pool(), false);
   const auto short_of_tail = [&loops] {
     for (const Loop& l : loops) {
-      if (l.seconds.size() <= kTailBeyond) return true;
+      if (l.seconds.size() < kTailMinSamples) return true;
     }
     return false;
   };
+  // Warm-up, untimed: one pass over the pool on each untraced machine,
+  // so first-touch page faults and cold caches stay out of the samples.
+  for (Loop& loop : loops) {
+    if (loop.tracer != nullptr) continue;
+    for (std::size_t k = 0; k < w.pool(); ++k) {
+      OpResult r = w.prepare(k);
+      w.run(*loop.m, k, r, nullptr);
+    }
+  }
   const double start = now_s();
   for (std::size_t i = 0; now_s() - start < budget || short_of_tail(); ++i) {
     Loop& loop = loops[i % loops.size()];
@@ -190,6 +204,7 @@ void closed_loop(const Workload& w, std::vector<Loop>& loops,
     r.output = std::vector<double>();  // release, not just clear
     r.calls = std::vector<Counters>();
     loop.ops.push_back(std::move(r));
+    between();
   }
 }
 
@@ -274,19 +289,23 @@ int run(const Args& a) {
     }
   }
 
-  // Set-up, several times: partitions, Machine (shm arenas), and the
-  // backend pool, started by one empty phase.  The last one is kept.
+  // Set-up: partitions, Machine (shm arenas), and the backend pool,
+  // started by one empty phase.  The first one builds the machine the
+  // loop times; the untraced loop sets up and tears down another after
+  // every operation, so that setup_s, their median, spans the same
+  // spells of host load as the operations do.
   std::vector<double> setup_s;
-  std::unique_ptr<wa::dist::Machine> m;
-  for (int rep = 0; rep < 9; ++rep) {
-    m.reset();
+  const auto set_up = [&] {
     const double t0 = now_s();
     w->build_partitions();
-    m = make_machine(shape, std::make_unique<wa::dist::ThreadedBackend>(a.threads),
-                     std::make_unique<wa::dist::ShmTransport>());
-    m->run_local_each([](std::size_t, wa::memsim::Hierarchy&) {});
+    auto fresh = make_machine(
+        shape, std::make_unique<wa::dist::ThreadedBackend>(a.threads),
+        std::make_unique<wa::dist::ShmTransport>());
+    fresh->run_local_each([](std::size_t, wa::memsim::Hierarchy&) {});
     setup_s.push_back(now_s() - t0);
-  }
+    return fresh;
+  };
+  std::unique_ptr<wa::dist::Machine> m = set_up();
 
   // The timed loop.  Traced runs add a second machine whose backend
   // and transport are wrapped in the tracing decorators; only one of
@@ -308,7 +327,10 @@ int run(const Args& a) {
     loops[1].m = tm.get();
     loops[1].tracer = &tracer;
   }
-  closed_loop(*w, loops, refs, a.seconds, ledger);
+  const std::function<void()> between = [&] {
+    if (!a.trace) set_up();  // torn down here, untimed
+  };
+  closed_loop(*w, loops, refs, a.seconds, ledger, between);
   m.reset();
   tm.reset();
   const Loop& plain = loops[0];

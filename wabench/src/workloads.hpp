@@ -16,7 +16,7 @@
 //                 with 16 right-hand sides each.
 //
 // BENCHMARK.json lists dense and cacg_batch16.  cacg_single stays
-// runnable by hand, but its ~0.2 ms phases wait on all four workers, so
+// runnable by hand, but its ~0.2 ms phases wait on every worker, so
 // a vCPU the host takes away for a few ms stalls every phase: on a
 // shared host its tail and throughput swing by 2x from run to run.
 

@@ -1,5 +1,6 @@
 // Self-test of the benchmark's own statistics and checks:
-//   - the tail rule (highest percentile with >= 10 samples beyond it);
+//   - the tail rule (median over five blocks of each block's highest
+//     percentile, at most the 90th, with >= 2 samples beyond it);
 //   - failure counting: an injected non-converged solve, an injected
 //     counter mismatch, flipped output bits and unverified transport
 //     words each count as a failed operation;
@@ -48,17 +49,43 @@ std::unique_ptr<wa::dist::Machine> machine(
 }
 
 void test_stats() {
+  // 100 samples, blocks of 20: each block's tail is its 18th value
+  // (the 90th percentile, 2 beyond).  Block b holds 100 b + 1 .. 100 b
+  // + 20, shuffled, so the block tails are 18, 118, ..., 418 and the
+  // median block's is 218.
   std::vector<double> v;
-  for (int i = 100; i >= 1; --i) v.push_back(i);
+  for (int b = 0; b < 5; ++b) {
+    for (int i = 0; i < 20; ++i) v.push_back(100 * b + 1 + (i * 7) % 20);
+  }
   const Tail t = tail(v);
-  expect(t.value == 90 && t.beyond == 10 && t.percentile == 90,
-         "tail of 1..100 is the 90th value with 10 beyond");
-  const Tail t11 = tail({5, 1, 4, 2, 3, 9, 8, 7, 6, 10, 11});
-  expect(t11.value == 1 && t11.beyond == 10,
-         "with 11 samples only the minimum has 10 beyond");
-  const Tail t10 = tail({3, 1, 2, 4, 5, 6, 7, 8, 9, 10});
-  expect(t10.value == 10 && t10.beyond == 0,
-         "with 10 samples the tail falls back to the maximum");
+  expect(t.value == 218 && t.beyond == 42 && t.percentile == 58,
+         "tail is the median of the block tails, placed in the whole run");
+
+  // One spell of slow operations over a single block moves that
+  // block's tail but not the median.
+  std::vector<double> spell(50, 1.0);
+  for (int i = 0; i < 10; ++i) spell[i] = 3.0;
+  spell[20] = spell[21] = 2.0;
+  expect(tail(spell).value == 1.0,
+         "a slow spell in one block leaves the tail at the quiet blocks'");
+
+  // Blocks of 3: the cap (rank 3 * 90 / 100 - 1 = 1) and the 2-beyond
+  // rule (rank 0) pick the minima 1, 2, 3, 10, 13; their median, 3, is
+  // below the run's median, 8, which is taken instead.
+  const Tail t15 = tail({5, 1, 9, 2, 8, 7, 3, 6, 4, 10, 12, 11, 15, 13, 14});
+  expect(t15.value == 8 && t15.beyond == 7,
+         "with 15 samples the tail is at least the run's median");
+
+  // Two slow blocks, then three quiet ones with a few slower
+  // operations: the block tails' median (1) is below the run's (3).
+  std::vector<double> sped_up(50, 1.0);
+  for (int i = 0; i < 20; ++i) sped_up[i] = 4.0;
+  for (int b = 2; b < 5; ++b) sped_up[10 * b] = sped_up[10 * b + 1] = 3.0;
+  expect(tail(sped_up).value == 3.0,
+         "a tail is never below the run's median");
+  const Tail t14 = tail({3, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14});
+  expect(t14.value == 14 && t14.beyond == 0,
+         "with fewer samples than the rule needs the tail is the maximum");
   expect(median({3, 1, 2}) == 2 && median({4, 1, 2, 3}) == 2.5,
          "median of odd and even samples");
 }
