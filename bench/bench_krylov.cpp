@@ -17,7 +17,9 @@
 // reusing the per-rank basis scratch across outer iterations.
 // --json PATH dumps every counter for CI's baseline drift check.
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -455,47 +457,120 @@ int main(int argc, char** argv) {
 
     // Throughput at a fixed residual: the same batched solver driven
     // to tol (not a fixed outer count), timed wall-to-wall, reported
-    // as solves completed per second of wall-clock.  Counters above
-    // track the model; this column tracks what a request-serving
-    // deployment actually cares about.  (All keys are timing --
-    // excluded from the drift baseline.)
-    std::printf("\nThroughput at fixed residual (tol=1e-9, same operator):\n");
-    bench::Table tt({"b", "mode", "wall (s)", "solves/s", "iters[0]"});
-    for (const std::size_t bsz : {1, 4, 16}) {
-      for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+    // as solves completed per second of wall-clock, on the 1-D split
+    // above and on 2-D BlockPartition2D tiles of a 9-point stencil of
+    // about the same n.  Counters above track the model; this table
+    // tracks what a request-serving deployment actually cares about,
+    // and sets the hardware next to the counter model: "A-words/solve"
+    // is the counted shared A stream of the run divided by b, and
+    // "A GB/s" the same counted words x 8 bytes over the wall.  (JSON
+    // keys are timing only -- excluded from the drift baseline.)
+    const std::size_t edge = std::max<std::size_t>(
+        8, std::size_t(64.0 * std::sqrt(sc) + 0.5));
+    const auto A2d = sparse::stencil_2d(edge, edge, 1);
+    const auto part2d = make_partition(P, A2d);
+    const auto random_panel = [](std::size_t nr, std::size_t bsz) {
+      std::vector<double> B(nr * bsz);
+      for (std::size_t j = 0; j < bsz; ++j) {
+        std::mt19937_64 rj(41 + 977 * j);
+        std::uniform_real_distribution<double> dj(-1, 1);
+        for (std::size_t i = 0; i < nr; ++i) B[j * nr + i] = dj(rj);
+      }
+      return B;
+    };
+    // Machine-wide shared (A) reads of a fixed-work solve of `outers`
+    // outer iterations: reads are affine in b, so S = 2 R(1) - R(2).
+    const auto shared_reads = [&](const sparse::Csr& Ax, const Partition& pt,
+                                  CaCgMode mode, std::size_t outers) {
+      double R[2] = {0, 0};
+      for (const std::size_t bsz : {1, 2}) {
         Machine m(P, kM1, kM2, kM3, HwParams{}, bench::env_backend());
-        std::vector<double> B(nb * bsz), X(nb * bsz, 0.0);
-        for (std::size_t j = 0; j < bsz; ++j) {
-          std::mt19937_64 rj(41 + 977 * j);
-          std::uniform_real_distribution<double> dj(-1, 1);
-          for (std::size_t i = 0; i < nb; ++i) B[j * nb + i] = dj(rj);
-        }
+        const auto B = random_panel(Ax.n, bsz);
+        std::vector<double> X(Ax.n * bsz, 0.0);
         CaCgOptions opt;
         opt.s = sB;
         opt.mode = mode;
-        opt.tol = 1e-9;
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto res = dist::ca_cg_batch(m, *partb, Ab, B, X, bsz, opt);
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        std::size_t converged = 0;
-        for (const auto& r : res.rhs) converged += r.converged ? 1 : 0;
-        if (converged != bsz) {
-          bench::die("throughput sweep: a solve failed to reach tol");
+        opt.tol = 0.0;
+        opt.max_outer = outers;
+        for (const auto& r : dist::ca_cg_batch(m, pt, Ax, B, X, bsz, opt).rhs) {
+          if (r.iterations != sB * outers) {
+            bench::die("throughput sweep: restart in the A-word count run");
+          }
         }
-        const bool stored = mode == CaCgMode::kStored;
-        const double sps = wall > 0 ? double(bsz) / wall : 0.0;
-        tt.row({std::to_string(bsz), stored ? "stored" : "stream",
-                bench::fmt_d(wall, 4), bench::fmt_d(sps, 2),
-                std::to_string(res.rhs[0].iterations)});
-        const std::string key = "throughput_b" + std::to_string(bsz) +
-                                (stored ? "_stored" : "_streaming");
-        json.add(key, "wall_seconds", wall);
-        json.add(key, "solves_per_wall_second", sps);
+        for (std::size_t p = 0; p < P; ++p) {
+          R[bsz - 1] += double(m.proc(p).l3_read.words);
+        }
       }
-    }
+      return 2.0 * R[0] - R[1];
+    };
+    bench::Table tt({"matrix", "b", "mode", "wall (s)", "solves/s",
+                     "iters[0]", "A-words/solve", "A GB/s"});
+    std::vector<std::string> ratios;
+    const auto throughput = [&](const char* label, const std::string& prefix,
+                                const sparse::Csr& Ax, const Partition& pt) {
+      for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+        const bool stored = mode == CaCgMode::kStored;
+        // Setup SpMV + first outer, and each further outer: restart-
+        // free runs read A once per basis build whatever b.
+        const double first = shared_reads(Ax, pt, mode, 1);
+        const double per_outer = shared_reads(Ax, pt, mode, 2) - first;
+        double sps1 = 0.0;
+        for (const std::size_t bsz : {1, 4, 16}) {
+          Machine m(P, kM1, kM2, kM3, HwParams{}, bench::env_backend());
+          const auto B = random_panel(Ax.n, bsz);
+          std::vector<double> X(Ax.n * bsz, 0.0);
+          CaCgOptions opt;
+          opt.s = sB;
+          opt.mode = mode;
+          opt.tol = 1e-9;
+          const auto t0 = std::chrono::steady_clock::now();
+          const auto res = dist::ca_cg_batch(m, pt, Ax, B, X, bsz, opt);
+          const double wall = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+          std::size_t converged = 0, iters = 0;
+          for (const auto& r : res.rhs) {
+            converged += r.converged ? 1 : 0;
+            iters = std::max(iters, r.iterations);
+          }
+          if (converged != bsz) {
+            bench::die("throughput sweep: a solve failed to reach tol");
+          }
+          const double outers = double((iters + sB - 1) / sB);
+          const double a_words =
+              first + std::max(0.0, outers - 1.0) * per_outer;
+          const double sps = wall > 0 ? double(bsz) / wall : 0.0;
+          const double a_gbs = wall > 0 ? 8.0 * a_words / wall / 1e9 : 0.0;
+          if (bsz == 1) sps1 = sps;
+          tt.row({label, std::to_string(bsz), stored ? "stored" : "stream",
+                  bench::fmt_d(wall, 4), bench::fmt_d(sps, 2),
+                  std::to_string(res.rhs[0].iterations),
+                  bench::fmt_d(a_words / double(bsz), 0),
+                  bench::fmt_d(a_gbs, 2)});
+          const std::string key = prefix + std::to_string(bsz) +
+                                  (stored ? "_stored" : "_streaming");
+          json.add(key, "wall_seconds", wall);
+          json.add(key, "solves_per_wall_second", sps);
+          json.add(key, "a_gb_per_wall_second", a_gbs);
+          if (bsz == 16) {
+            ratios.push_back(std::string(label) + " " +
+                             (stored ? "stored" : "stream") +
+                             ": b=16 / b=1 solves/s = " +
+                             bench::fmt_d(sps1 > 0 ? sps / sps1 : 0.0, 2) +
+                             "x");
+          }
+        }
+      }
+    };
+    std::printf("\nThroughput at fixed residual (tol=1e-9, s=%zu, P=%zu):\n",
+                sB, P);
+    throughput(("1-D n=" + std::to_string(nb)).c_str(), "throughput_b", Ab,
+               *partb);
+    const std::string l2d =
+        "2-D " + std::to_string(edge) + "x" + std::to_string(edge);
+    throughput(l2d.c_str(), "throughput2d_b", A2d, *part2d);
     tt.print();
+    for (const std::string& line : ratios) std::printf("%s\n", line.c_str());
   }
 
   // ---- scratch hoisting: the per-outer basis buffers are reused ---------

@@ -1,9 +1,14 @@
 #include "dist/krylov.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "dist/detail.hpp"
@@ -32,25 +37,11 @@ std::vector<std::size_t> recv_rows(const std::vector<HaloTransfer>& halos,
   return r;
 }
 
-/// Apply fn(glo, ghi) to each maximal globally-contiguous row run of
-/// box @p b -- one run per (z, y) mesh line, a single run for the 1-D
-/// partition's linear boxes.  Runs ascend in global index, so
-/// rank-ordered partial sums are deterministic and, on the 1-D
-/// partition, identical to the PR 4 row loops.
-template <class Fn>
-void for_each_run(const Partition& part, const NodeBox& b, Fn&& fn) {
-  if (b.empty()) return;
-  for (std::size_t z = b.z0; z < b.z1; ++z) {
-    for (std::size_t y = b.y0; y < b.y1; ++y) {
-      const std::size_t base = part.global_index(0, y, z);
-      fn(base + b.x0, base + b.x1);
-    }
-  }
-}
-
-/// Same, with the local index of glo inside the enclosing extent box
-/// @p ebox as a third argument (the slot basis columns of the extent
-/// are stored at).
+/// Apply fn(glo, ghi, lb) to each maximal globally-contiguous row run
+/// of box @p b -- one run per (z, y) mesh line, a single run for the
+/// 1-D partition's linear boxes -- with lb the local index of glo
+/// inside the enclosing extent box @p ebox.  Runs ascend in global
+/// index, so rank-ordered partial sums are deterministic.
 template <class Fn>
 void for_each_run_local(const Partition& part, const NodeBox& b,
                         const NodeBox& ebox, Fn&& fn) {
@@ -64,27 +55,6 @@ void for_each_run_local(const Partition& part, const NodeBox& b,
       fn(base + b.x0, base + b.x1, lbase);
     }
   }
-}
-
-/// True when walking box @p b in (z, y, x) order visits consecutive
-/// global rows, i.e. local index == global index - origin.  Then the
-/// basis recurrence can read neighbours through a constant offset
-/// (kd::row_dot), which keeps the 1-D path bitwise-identical to the
-/// shared-memory solvers and fast.
-bool box_is_linear(const Partition& part, const NodeBox& b) {
-  const bool full_x = b.x0 == 0 && b.x1 == part.nx();
-  const bool full_y = b.y0 == 0 && b.y1 == part.ny();
-  if (b.dz() > 1 && !(full_x && full_y)) return false;
-  if (b.dy() > 1 && !full_x) return false;
-  return true;
-}
-
-/// The extent of one streaming chunk: the chunk box dilated by the
-/// basis depth, exactly as Partition::extended dilates whole owned
-/// boxes (same dilate_box).
-NodeBox dilate_clipped(const Partition& part, const NodeBox& b,
-                       std::size_t depth) {
-  return dilate_box(b, depth, part.nx(), part.ny(), part.nz());
 }
 
 /// Owned box @p o split into streaming chunks of ~@p block_rows owned
@@ -122,11 +92,10 @@ std::vector<NodeBox> stream_chunks(const Partition& part, const NodeBox& o,
 ///
 /// Every rank's owned rows are flattened into ascending [lo, hi)
 /// global-row runs once here -- from the box geometry for the mesh
-/// partitions (identical to walking the box with for_each_run) or
-/// from GraphPartition's owned runs -- so the O(n) vector phases
-/// (setup, classical CG steps, delta recomputes) iterate one shape
-/// whatever the partition.  Only the matrix-powers basis phases still
-/// dispatch on geometry (box extents vs. sparsity-derived plans).
+/// partitions or from GraphPartition's owned runs -- so the O(n)
+/// vector phases (setup, classical CG steps, delta recomputes)
+/// iterate one shape whatever the partition.  Geometry enters only
+/// the per-solve matrix-powers plan (make_basis_plan).
 struct PartRun {
   Machine& m;
   const sparse::Csr& A;
@@ -158,9 +127,10 @@ struct PartRun {
       } else {
         own[p] = pt.owned(p);
         own_sz[p] = own[p].volume();
-        for_each_run(pt, own[p], [&](std::size_t lo, std::size_t hi) {
-          runs[p].emplace_back(lo, hi);
-        });
+        for_each_run_local(pt, own[p], own[p],
+                           [&](std::size_t lo, std::size_t hi, std::size_t) {
+                             runs[p].emplace_back(lo, hi);
+                           });
       }
       std::size_t words = 0;
       for (const auto& [lo, hi] : runs[p]) words += rows_nnz(a, lo, hi);
@@ -210,130 +180,53 @@ struct PartRun {
   }
 };
 
-/// Fill @p W with the 2s+1 basis columns over the extent box @p ebox:
-/// heads copied from p and r, then the shifted recurrence with
-/// per-level per-axis shrinking validity (basis_valid_window: nodes
-/// computable inside the extent, clamped at mesh edges, clamped empty
-/// instead of inverting).  Returns the A-words (values + cols of
-/// every computed row) the caller charges as slow reads.  One
-/// definition serves the stored phase and both streaming passes, so
-/// their arithmetic -- and the bitwise pins built on it -- cannot
-/// drift apart.  With @p reuse the caller's buffers are recycled
-/// (never read before being written: heads cover the whole extent,
-/// and Gram/recovery only read owned nodes, valid in every column).
-std::uint64_t build_basis_box(const sparse::Csr& A, const Partition& part,
-                              const kd::BasisCoeffs& bc, std::size_t s,
-                              const std::vector<double>& p,
-                              const std::vector<double>& r,
-                              const NodeBox& ebox,
-                              std::vector<std::vector<double>>& W,
-                              bool reuse) {
-  const std::size_t mm = 2 * s + 1;
-  const std::size_t len = ebox.volume();
-  if (reuse) {
-    W.resize(mm);
-    for (auto& col : W) col.resize(len);
-  } else {
-    W.assign(mm, std::vector<double>(len, 0.0));
-  }
-  for_each_run_local(part, ebox, ebox,
-                     [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                       for (std::size_t i = glo; i < ghi; ++i) {
-                         W[0][lb + i - glo] = p[i];
-                         W[s + 1][lb + i - glo] = r[i];
-                       }
-                     });
-
-  const bool linear = box_is_linear(part, ebox);
-  const std::size_t nx = part.nx(), ny = part.ny(), nz = part.nz();
-  const std::size_t rad = part.radius();
-  const std::size_t plane = nx * ny;
-  std::uint64_t a_words = 0;
-  const auto advance = [&](std::size_t from, std::size_t to,
-                           std::size_t level, double theta) {
-    const BlockRange vx = basis_valid_window(ebox.x0, ebox.x1, nx, level, rad);
-    const BlockRange vy = basis_valid_window(ebox.y0, ebox.y1, ny, level, rad);
-    const BlockRange vz = basis_valid_window(ebox.z0, ebox.z1, nz, level, rad);
-    const NodeBox v{vx.off, vx.off + vx.sz, vy.off, vy.off + vy.sz,
-                    vz.off, vz.off + vz.sz};
-    if (v.empty()) return;
-    const double* fc = W[from].data();
-    double* tc = W[to].data();
-    for_each_run_local(
-        part, v, ebox,
-        [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-          if (linear) {
-            // local == global - origin over the whole box: the PR 4
-            // constant-offset row dot, bitwise-identical to spmv.
-            const std::ptrdiff_t off =
-                std::ptrdiff_t(lb) - std::ptrdiff_t(glo);
-            for (std::size_t i = glo; i < ghi; ++i) {
-              tc[lb + i - glo] =
-                  (kd::row_dot(A, i, fc, off) - theta * fc[lb + i - glo]) /
-                  bc.sigma;
-            }
-          } else {
-            for (std::size_t i = glo; i < ghi; ++i) {
-              double t = 0;
-              for (std::size_t q = A.row_ptr[i]; q < A.row_ptr[i + 1]; ++q) {
-                const std::size_t j = A.col_idx[q];
-                const std::size_t jz = j / plane, rem = j - jz * plane;
-                const std::size_t jy = rem / nx, jx = rem - jy * nx;
-                t += A.values[q] *
-                     fc[((jz - ebox.z0) * ebox.dy() + (jy - ebox.y0)) *
-                            ebox.dx() +
-                        (jx - ebox.x0)];
-              }
-              tc[lb + i - glo] =
-                  (t - theta * fc[lb + i - glo]) / bc.sigma;
-            }
-          }
-          a_words += 2 * rows_nnz(A, glo, ghi);  // A values + cols
-        });
-  };
-  for (std::size_t j = 0; j < s; ++j) {
-    advance(j, j + 1, j + 1, bc.theta[j]);
-  }
-  for (std::size_t j = 0; j + 1 < s; ++j) {
-    advance(s + 1 + j, s + 1 + j + 1, j + 1, bc.theta[j]);
-  }
-  return a_words;
-}
-
-// ---- graph-partition matrix-powers plans --------------------------------
+// ---- matrix-powers plans and the basis kernel ---------------------------
 //
-// The box solvers derive every extent, validity window, and charge
-// from NodeBox geometry.  On a GraphPartition the owned sets are
-// general index sets, so each rank's basis work is precomputed once
-// per solve as GraphChunks: the exact s-hop closure of the chunk's
-// target rows (the extent the ghost exchange fills), a local CSR
-// over the extent, and the per-level computable row sets read off
-// the sparsity -- level l keeps the rows whose every column lies in
-// level l-1's set, the graph form of basis_valid_window's per-axis
-// shrink (owned rows survive to level s because the extent is their
-// s-hop closure).  The per-row arithmetic is the same shifted
-// recurrence as build_basis_box, accumulated in A's stored column
-// order, so at P = 1 (extent = every row, all levels full) the
-// iterates stay bitwise-identical to the shared-memory solver.
+// Every CA-CG basis -- box or graph partition, stored or streaming,
+// one RHS or a batch -- is built by one kernel (build_basis) from a
+// per-solve plan of BasisChunks.  A chunk is one extent the ghost
+// exchange fills, with:
+//   * an extent-local CSR over its level-1 rows (rows outside level 1
+//     are never advanced, so their local rows stay empty);
+//   * the extent-local [lo, hi) runs computable at each level l =
+//     1..s, and the A-words one build reads (a_words);
+//   * the extent-local runs of the rows it Grams and recovers: the
+//     rank's owned rows (stored) or its streaming slice.
+// Box partitions read the levels off basis_valid_window's per-axis
+// shrink (nodes computable inside the extent, clamped at mesh edges,
+// clamped empty instead of inverting); graph partitions off the
+// sparsity, where level l keeps the rows whose every column lies in
+// level l-1 (owned rows survive to level s because the extent is
+// their s-hop closure).  Either way each output sums its row in A's
+// stored column order, so at P = 1 (extent = every row, all levels
+// full) the iterates stay bitwise-identical to the shared-memory
+// solvers, and a batch's columns to single-RHS solves.
 
-struct GraphChunk {
+struct BasisChunk {
   std::vector<std::size_t> ext;  // sorted global rows of the extent
-  // Extent-local CSR: full rows for level-1 rows (all columns inside
-  // the extent), empty rows otherwise -- rows outside level 1 are
-  // never advanced, so their columns are never read.
   std::vector<std::size_t> lrp, lcols;
   std::vector<double> lvals;
-  // Extent-local [lo, hi) runs of the level-l computable set
-  // (lvl[l - 1], l = 1..s) and the A-words each level reads.
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> lvl;
-  std::vector<std::uint64_t> lvl_nnz;
-  // Extent-local runs of the rows this chunk Grams and recovers: the
-  // rank's owned rows (stored mode) or its streaming slice.
   std::vector<std::pair<std::size_t, std::size_t>> target;
   std::size_t tsz = 0;        // rows in target
   std::size_t overlap = 0;    // |extent ∩ owned(p)|: slow-read words
   std::uint64_t a_words = 0;  // A words one basis build reads
 };
+
+using BasisPlan = std::vector<std::vector<BasisChunk>>;  // [rank][chunk]
+
+/// A values + cols per build: p-chain levels 1..s, r-chain 1..s-1,
+/// each level reading its rows' nonzeros once.  Level rows are
+/// level-1 rows, so their local CSR rows are complete.
+std::uint64_t level_a_words(const BasisChunk& ck, std::size_t s) {
+  std::uint64_t w = 0;
+  for (std::size_t l = 1; l <= s; ++l) {
+    std::uint64_t nz = 0;
+    for (const auto& [lo, hi] : ck.lvl[l - 1]) nz += ck.lrp[hi] - ck.lrp[lo];
+    w += (l < s ? 4 : 2) * nz;
+  }
+  return w;
+}
 
 /// Maximal contiguous [lo, hi) runs of a sorted index list.
 std::vector<std::pair<std::size_t, std::size_t>> index_runs(
@@ -348,11 +241,11 @@ std::vector<std::pair<std::size_t, std::size_t>> index_runs(
   return rn;
 }
 
-GraphChunk make_graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
+BasisChunk make_graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
                             std::size_t rank,
                             const std::vector<std::size_t>& seed,
                             std::size_t s) {
-  GraphChunk ck;
+  BasisChunk ck;
   ck.ext = gp.closure(seed, s);
   const std::size_t len = ck.ext.size();
   ck.tsz = seed.size();
@@ -386,7 +279,6 @@ GraphChunk make_graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
   }
 
   ck.lvl.reserve(s);
-  ck.lvl_nnz.reserve(s);
   std::vector<char> mem(len, 0);
   std::vector<std::size_t> next;
   for (std::size_t l = 1; l <= s; ++l) {
@@ -409,18 +301,9 @@ GraphChunk make_graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
       }
       cur.swap(next);
     }
-    std::uint64_t nz = 0;
-    for (const std::size_t li : cur) nz += ck.lrp[li + 1] - ck.lrp[li];
     ck.lvl.push_back(index_runs(cur));
-    ck.lvl_nnz.push_back(nz);
   }
-
-  // A values + cols per advance: p-chain levels 1..s, r-chain 1..s-1
-  // (the same accounting build_basis_box's advance makes per run).
-  for (std::size_t l = 1; l <= s; ++l) ck.a_words += 2 * ck.lvl_nnz[l - 1];
-  for (std::size_t l = 1; l + 1 <= s; ++l) {
-    ck.a_words += 2 * ck.lvl_nnz[l - 1];
-  }
+  ck.a_words = level_a_words(ck, s);
 
   std::vector<std::size_t> tloc(seed.size());
   for (std::size_t k = 0; k < seed.size(); ++k) tloc[k] = loc[seed[k]];
@@ -432,66 +315,253 @@ GraphChunk make_graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
   return ck;
 }
 
+/// The box form of make_graph_chunk: extent box @p ebox, level runs
+/// from basis_valid_window, Gram/recovery rows @p tgt, slow reads of
+/// the extent's overlap with the rank's owned box @p own.  Walking a
+/// box in (z, y, x) order visits ascending global rows, so the local
+/// index of a row is its position in ext.
+BasisChunk make_box_chunk(const sparse::Csr& A, const Partition& part,
+                          const NodeBox& ebox, const NodeBox& tgt,
+                          const NodeBox& own, std::size_t s) {
+  BasisChunk ck;
+  const auto local_runs = [&](const NodeBox& b) {
+    std::vector<std::pair<std::size_t, std::size_t>> rn;
+    for_each_run_local(part, b, ebox,
+                       [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
+                         rn.emplace_back(lb, lb + (ghi - glo));
+                       });
+    return rn;
+  };
+  for_each_run_local(part, ebox, ebox,
+                     [&](std::size_t glo, std::size_t ghi, std::size_t) {
+                       for (std::size_t i = glo; i < ghi; ++i) {
+                         ck.ext.push_back(i);
+                       }
+                     });
+  const std::size_t len = ck.ext.size();
+  const std::size_t rad = part.radius();
+  for (std::size_t l = 1; l <= s; ++l) {
+    const BlockRange vx =
+        basis_valid_window(ebox.x0, ebox.x1, part.nx(), l, rad);
+    const BlockRange vy =
+        basis_valid_window(ebox.y0, ebox.y1, part.ny(), l, rad);
+    const BlockRange vz =
+        basis_valid_window(ebox.z0, ebox.z1, part.nz(), l, rad);
+    ck.lvl.push_back(local_runs(NodeBox{vx.off, vx.off + vx.sz, vy.off,
+                                        vy.off + vy.sz, vz.off,
+                                        vz.off + vz.sz}));
+  }
+
+  // A table over the extent's global index span maps columns to local
+  // rows (no per-entry coordinate arithmetic); then the local CSR of
+  // the level-1 rows, whose columns all lie inside the extent when
+  // the partition's radius covers A's stencil.
+  const std::size_t base = ck.ext.front();
+  std::vector<std::size_t> loc(ck.ext.back() - base + 1, std::size_t(-1));
+  for (std::size_t li = 0; li < len; ++li) loc[ck.ext[li] - base] = li;
+  std::vector<char> in1(len, 0);
+  for (const auto& [lo, hi] : ck.lvl[0]) {
+    std::fill(in1.begin() + std::ptrdiff_t(lo),
+              in1.begin() + std::ptrdiff_t(hi), 1);
+  }
+  ck.lrp.assign(len + 1, 0);
+  for (std::size_t li = 0; li < len; ++li) {
+    const std::size_t i = ck.ext[li];
+    const std::size_t qend = in1[li] ? A.row_ptr[i + 1] : A.row_ptr[i];
+    for (std::size_t q = A.row_ptr[i]; q < qend; ++q) {
+      const std::size_t j = A.col_idx[q];
+      const std::size_t lj = j >= base && j - base < loc.size()
+                                 ? loc[j - base]
+                                 : std::size_t(-1);
+      if (lj == std::size_t(-1)) {
+        throw std::invalid_argument(
+            "dist::ca_cg: matrix entries reach beyond the partition's "
+            "stencil radius");
+      }
+      ck.lcols.push_back(lj);
+      ck.lvals.push_back(A.values[q]);
+    }
+    ck.lrp[li + 1] = ck.lcols.size();
+  }
+  ck.a_words = level_a_words(ck, s);
+
+  ck.target = local_runs(tgt);
+  ck.tsz = tgt.volume();
+  ck.overlap = box_overlap(ebox, own);
+  return ck;
+}
+
 /// Per-rank basis plans for one solve, loop-invariant across outer
 /// iterations: one whole-owned-set chunk per rank when stored,
-/// ~block_rows-row slices of the owned list when streaming (the
-/// graph analogue of stream_chunks, including the <= 2x extent
-/// re-read amplification between adjacent chunks).
-std::vector<std::vector<GraphChunk>> make_graph_plan(
-    const sparse::Csr& A, const GraphPartition& gp, std::size_t s,
-    CaCgMode mode, std::size_t block_rows) {
-  const std::size_t P = gp.ranks();
-  std::vector<std::vector<GraphChunk>> plan(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    const auto& own = gp.owned_rows(p);
-    if (own.empty()) continue;
-    if (mode == CaCgMode::kStored) {
-      plan[p].push_back(make_graph_chunk(A, gp, p, own, s));
+/// ~block_rows-row slices of the owned rows when streaming (adjacent
+/// chunks re-read their extent overlap: the <= 2x read amplification).
+BasisPlan make_basis_plan(const PartRun& rp, std::size_t s, CaCgMode mode,
+                          std::size_t block_rows) {
+  const sparse::Csr& A = rp.A;
+  const Partition& part = rp.part;
+  const std::size_t depth = s * part.radius();
+  BasisPlan plan(rp.P);
+  for (std::size_t p = 0; p < rp.P; ++p) {
+    if (rp.own_sz[p] == 0) continue;
+    if (rp.gp != nullptr) {
+      const auto& own = rp.gp->owned_rows(p);
+      if (mode == CaCgMode::kStored) {
+        plan[p].push_back(make_graph_chunk(A, *rp.gp, p, own, s));
+        continue;
+      }
+      for (std::size_t lo = 0; lo < own.size(); lo += block_rows) {
+        const std::size_t hi = std::min(own.size(), lo + block_rows);
+        const std::vector<std::size_t> slice(own.begin() + lo,
+                                             own.begin() + hi);
+        plan[p].push_back(make_graph_chunk(A, *rp.gp, p, slice, s));
+      }
       continue;
     }
-    for (std::size_t lo = 0; lo < own.size(); lo += block_rows) {
-      const std::size_t hi = std::min(own.size(), lo + block_rows);
-      const std::vector<std::size_t> slice(own.begin() + lo,
-                                           own.begin() + hi);
-      plan[p].push_back(make_graph_chunk(A, gp, p, slice, s));
+    const NodeBox& o = rp.own[p];
+    if (mode == CaCgMode::kStored) {
+      plan[p].push_back(
+          make_box_chunk(A, part, part.extended(p, depth), o, o, s));
+      continue;
+    }
+    for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
+      const NodeBox ebox =
+          dilate_box(c, depth, part.nx(), part.ny(), part.nz());
+      plan[p].push_back(make_box_chunk(A, part, ebox, c, o, s));
     }
   }
   return plan;
 }
 
-/// build_basis_box's graph twin: heads gathered from p and r over the
-/// extent, then the shifted recurrence over the shrinking level runs.
-std::uint64_t build_basis_graph(const GraphChunk& ck,
-                                const kd::BasisCoeffs& bc, std::size_t s,
-                                const std::vector<double>& p,
-                                const std::vector<double>& r,
-                                std::vector<std::vector<double>>& W,
-                                bool reuse) {
-  const std::size_t mm = 2 * s + 1;
-  const std::size_t len = ck.ext.size();
-  if (reuse) {
-    W.resize(mm);
-    for (auto& col : W) col.resize(len);
-  } else {
-    W.assign(mm, std::vector<double>(len, 0.0));
+/// Basis panels of one chunk for na right-hand sides, stored
+/// RHS-fastest: column a of the k-th RHS at extent-local row li is
+/// col[a][li * na + k].
+struct Panels {
+  std::size_t na = 0;
+  std::vector<std::vector<double>> col;
+};
+
+/// Split @p na panel lanes into blocks of compile-time width -- 16,
+/// then 8, 4, 2 and 1 -- and call fn(lanes, k0) on each, lanes a
+/// std::integral_constant, so the kernels keep one block's per-lane
+/// accumulators in registers.  Lanes are independent RHS, so the
+/// blocking never changes an output's arithmetic.
+template <class Fn>
+void for_lane_blocks(std::size_t na, Fn&& fn) {
+  std::size_t k0 = 0;
+  for (; k0 + 16 <= na; k0 += 16) {
+    fn(std::integral_constant<std::size_t, 16>{}, k0);
   }
-  for (std::size_t li = 0; li < len; ++li) {
-    W[0][li] = p[ck.ext[li]];
-    W[s + 1][li] = r[ck.ext[li]];
-  }
-  const auto advance = [&](std::size_t from, std::size_t to,
-                           std::size_t level, double theta) {
-    const double* fc = W[from].data();
-    double* tc = W[to].data();
+  const auto tail = [&](auto lanes) {
+    if (k0 + decltype(lanes)::value <= na) {
+      fn(lanes, k0);
+      k0 += decltype(lanes)::value;
+    }
+  };
+  tail(std::integral_constant<std::size_t, 8>{});
+  tail(std::integral_constant<std::size_t, 4>{});
+  tail(std::integral_constant<std::size_t, 2>{});
+  tail(std::integral_constant<std::size_t, 1>{});
+}
+
+/// Register type of an L-lane block: SSE2-width pairs of doubles
+/// (the GCC/Clang vector extension) for even L, a plain double for
+/// L = 1.  Its +, -, * and / are element-wise, separately rounded
+/// IEEE operations with a scalar operand splatted -- lane by lane the
+/// scalar arithmetic, so vectorizing changes no bits.
+typedef double f64x2 __attribute__((vector_size(16)));
+template <std::size_t L>
+using LaneVec = std::conditional_t<L % 2 == 0, f64x2, double>;
+template <std::size_t L>
+constexpr std::size_t kLaneWidth = L % 2 == 0 ? 2 : 1;  // doubles per LaneVec
+
+template <class V>
+V load_lanes(const double* p) {
+  V v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <class V>
+void store_lanes(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// One level of the shifted recurrence over @p ck's level runs, all
+/// na RHS per row: to = (A from - theta from) / sigma, each output
+/// summed in A's stored column order from 0 with a separate multiply
+/// and add -- the single-RHS arithmetic, lane by lane.
+void advance_rows(const BasisChunk& ck, std::size_t level, std::size_t na,
+                  const double* fc, double* tc, double theta, double sigma) {
+  if (na == 1) {  // the single-RHS solver: a plain row loop is faster
     for (const auto& [llo, lhi] : ck.lvl[level - 1]) {
       for (std::size_t li = llo; li < lhi; ++li) {
         double t = 0;
         for (std::size_t q = ck.lrp[li]; q < ck.lrp[li + 1]; ++q) {
           t += ck.lvals[q] * fc[ck.lcols[q]];
         }
-        tc[li] = (t - theta * fc[li]) / bc.sigma;
+        tc[li] = (t - theta * fc[li]) / sigma;
       }
     }
+    return;
+  }
+  for (const auto& [llo, lhi] : ck.lvl[level - 1]) {
+    for_lane_blocks(na, [&](auto lanes, std::size_t k0) {
+      constexpr std::size_t L = decltype(lanes)::value;
+      using V = LaneVec<L>;
+      constexpr std::size_t w = kLaneWidth<L>, nv = L / w;
+      for (std::size_t li = llo; li < lhi; ++li) {
+        std::array<V, nv> t{};
+        for (std::size_t q = ck.lrp[li]; q < ck.lrp[li + 1]; ++q) {
+          const double v = ck.lvals[q];
+          const double* f = fc + ck.lcols[q] * na + k0;
+          for (std::size_t j = 0; j < nv; ++j) {
+            t[j] += v * load_lanes<V>(f + j * w);
+          }
+        }
+        const double* self = fc + li * na + k0;
+        double* out = tc + li * na + k0;
+        for (std::size_t j = 0; j < nv; ++j) {
+          store_lanes(out + j * w,
+                      (t[j] - theta * load_lanes<V>(self + j * w)) / sigma);
+        }
+      }
+    });
+  }
+}
+
+/// The matrix-powers kernel: fill @p W with the 2s+1 basis columns of
+/// every RHS in @p pv / @p rv (their p and r vectors) over chunk
+/// @p ck -- heads gathered over the extent, then s p-chain and s-1
+/// r-chain levels, one pass over each row serving every RHS.  Returns
+/// the A-words the caller charges as slow reads (once per build,
+/// whatever na).  With @p reuse the buffers are recycled (never read
+/// before being written: heads cover the whole extent, and Gram and
+/// recovery only read target rows, valid in every column).
+std::uint64_t build_basis(const BasisChunk& ck, const kd::BasisCoeffs& bc,
+                          std::size_t s, std::span<const double* const> pv,
+                          std::span<const double* const> rv, Panels& W,
+                          bool reuse) {
+  const std::size_t mm = 2 * s + 1;
+  const std::size_t na = pv.size();
+  const std::size_t len = ck.ext.size();
+  W.na = na;
+  if (reuse) {
+    W.col.resize(mm);
+    for (auto& c : W.col) c.resize(len * na);
+  } else {
+    W.col.assign(mm, std::vector<double>(len * na, 0.0));
+  }
+  for (std::size_t li = 0; li < len; ++li) {
+    const std::size_t i = ck.ext[li];
+    for (std::size_t k = 0; k < na; ++k) {
+      W.col[0][li * na + k] = pv[k][i];
+      W.col[s + 1][li * na + k] = rv[k][i];
+    }
+  }
+  const auto advance = [&](std::size_t from, std::size_t to,
+                           std::size_t level, double theta) {
+    advance_rows(ck, level, na, W.col[from].data(), W.col[to].data(), theta,
+                 bc.sigma);
   };
   for (std::size_t j = 0; j < s; ++j) {
     advance(j, j + 1, j + 1, bc.theta[j]);
@@ -502,43 +572,222 @@ std::uint64_t build_basis_graph(const GraphChunk& ck,
   return ck.a_words;
 }
 
-/// Gram partial over the chunk's target runs (one gram_upper_acc call
-/// per run: the whole-vs-split bitwise invariance of the kernel keeps
-/// P = 1, with its single [0, n) run, equal to the shared-memory
-/// solver's one call).
-void graph_gram(const GraphChunk& ck, kd::Small& gacc, std::size_t mm,
-                const std::vector<std::vector<double>>& W) {
-  std::vector<const double*> wp(mm);
-  for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
+/// Add each RHS's upper Gram partial over the chunk's target rows to
+/// @p g (entry (a, c) of the k-th RHS at g[(a * mm + c) * na + k]).
+/// Every entry is one chain in ascending row order -- gram_upper_acc's
+/// contract -- so the bits equal a per-RHS gram_upper_acc over the
+/// same runs; with one RHS the panel is contiguous and the kernel
+/// reads it directly.
+void gram_acc(const BasisChunk& ck, std::size_t mm, const Panels& W,
+              double* g) {
+  const std::size_t na = W.na;
+  if (na == 1) {
+    std::vector<const double*> wp(mm);
+    for (std::size_t a = 0; a < mm; ++a) wp[a] = W.col[a].data();
+    for (const auto& [llo, lhi] : ck.target) {
+      linalg::active_kernels().gram_upper_acc(g, mm, wp.data(), llo, lhi);
+    }
+    return;
+  }
+  // Slabs of rows small enough that all mm columns stay in L1 while
+  // every entry's lanes sweep them.
+  constexpr std::size_t kSlab = 16;
   for (const auto& [llo, lhi] : ck.target) {
-    linalg::active_kernels().gram_upper_acc(gacc.a.data(), mm, wp.data(),
-                                            llo, lhi);
+    for (std::size_t r0 = llo; r0 < lhi; r0 += kSlab) {
+      const std::size_t r1 = std::min(lhi, r0 + kSlab);
+      for (std::size_t a = 0; a < mm; ++a) {
+        for (std::size_t c = a; c < mm; ++c) {
+          const double* wa = W.col[a].data();
+          const double* wc = W.col[c].data();
+          double* ge = g + (a * mm + c) * na;
+          for_lane_blocks(na, [&](auto lanes, std::size_t k0) {
+            constexpr std::size_t L = decltype(lanes)::value;
+            using V = LaneVec<L>;
+            constexpr std::size_t w = kLaneWidth<L>, nv = L / w;
+            std::array<V, nv> acc{};
+            for (std::size_t j = 0; j < nv; ++j) {
+              acc[j] = load_lanes<V>(ge + k0 + j * w);
+            }
+            for (std::size_t li = r0; li < r1; ++li) {
+              const double* x = wa + li * na + k0;
+              const double* y = wc + li * na + k0;
+              for (std::size_t j = 0; j < nv; ++j) {
+                acc[j] += load_lanes<V>(x + j * w) * load_lanes<V>(y + j * w);
+              }
+            }
+            for (std::size_t j = 0; j < nv; ++j) {
+              store_lanes(ge + k0 + j * w, acc[j]);
+            }
+          });
+        }
+      }
+    }
   }
 }
 
-/// Recovery over the chunk's target rows:
-/// [pout, rout, x] = [W] [ph, rh, xh] + [0, 0, x], scattered back to
-/// global indices through ext.
-void graph_recover(const GraphChunk& ck, std::size_t mm,
-                   const std::vector<std::vector<double>>& W,
-                   const std::vector<double>& ph,
-                   const std::vector<double>& rh,
-                   const std::vector<double>& xh, std::span<double> x,
-                   std::vector<double>& pout, std::vector<double>& rout) {
-  for (const auto& [llo, lhi] : ck.target) {
-    for (std::size_t li = llo; li < lhi; ++li) {
-      const std::size_t i = ck.ext[li];
-      double np = 0, nr = 0, nx2 = x[i];
-      for (std::size_t a = 0; a < mm; ++a) {
-        np += W[a][li] * ph[a];
-        nr += W[a][li] * rh[a];
-        nx2 += W[a][li] * xh[a];
-      }
-      pout[i] = np;
-      rout[i] = nr;
-      x[i] = nx2;
+/// One RHS's recovery: [pout, rout, x] = W_k [ph, rh, xh] + [0, 0, x]
+/// over a chunk's target rows, W_k its panel slot k.
+struct RecoverRhs {
+  std::size_t k;
+  const double* ph;
+  const double* rh;
+  const double* xh;
+  double* x;
+  double* pout;
+  double* rout;
+};
+
+void recover(const BasisChunk& ck, std::size_t mm, const Panels& W,
+             std::span<const RecoverRhs> rhs) {
+  const std::size_t na = W.na, nt = rhs.size();
+  // Lane-contiguous coefficients: ph, rh, xh (v = 0, 1, 2) of basis
+  // column a for the t-th RHS at coef[(3 * a + v) * nt + t].
+  std::vector<double> coef(3 * mm * nt);
+  for (std::size_t t = 0; t < nt; ++t) {
+    for (std::size_t a = 0; a < mm; ++a) {
+      coef[(3 * a) * nt + t] = rhs[t].ph[a];
+      coef[(3 * a + 1) * nt + t] = rhs[t].rh[a];
+      coef[(3 * a + 2) * nt + t] = rhs[t].xh[a];
     }
   }
+  for_lane_blocks(nt, [&](auto lanes, std::size_t t0) {
+    constexpr std::size_t L = decltype(lanes)::value;
+    using V = LaneVec<L>;
+    constexpr std::size_t lw = kLaneWidth<L>, nv = L / lw;
+    std::array<std::size_t, L> slot{};
+    std::array<double*, L> xo{}, po{}, ro{};
+    for (std::size_t k = 0; k < L; ++k) {
+      slot[k] = rhs[t0 + k].k;
+      xo[k] = rhs[t0 + k].x;
+      po[k] = rhs[t0 + k].pout;
+      ro[k] = rhs[t0 + k].rout;
+    }
+    for (const auto& [llo, lhi] : ck.target) {
+      for (std::size_t li = llo; li < lhi; ++li) {
+        const std::size_t i = ck.ext[li];
+        // Per lane: np = 0, nr = 0, nx = x[i], then + W(a) coef(a)
+        // for a ascending; the row's panel values are gathered from
+        // the lanes' slots.
+        std::array<double, L> buf{};
+        for (std::size_t k = 0; k < L; ++k) buf[k] = xo[k][i];
+        std::array<V, nv> np{}, nr{}, nx{};
+        for (std::size_t j = 0; j < nv; ++j) {
+          nx[j] = load_lanes<V>(buf.data() + j * lw);
+        }
+        for (std::size_t a = 0; a < mm; ++a) {
+          const double* wa = W.col[a].data() + li * na;
+          for (std::size_t k = 0; k < L; ++k) buf[k] = wa[slot[k]];
+          const double* cp = coef.data() + (3 * a) * nt + t0;
+          for (std::size_t j = 0; j < nv; ++j) {
+            const V wv = load_lanes<V>(buf.data() + j * lw);
+            np[j] += wv * load_lanes<V>(cp + j * lw);
+            nr[j] += wv * load_lanes<V>(cp + nt + j * lw);
+            nx[j] += wv * load_lanes<V>(cp + 2 * nt + j * lw);
+          }
+        }
+        std::array<double, L> pb{}, rb{};
+        for (std::size_t j = 0; j < nv; ++j) {
+          store_lanes(pb.data() + j * lw, np[j]);
+          store_lanes(rb.data() + j * lw, nr[j]);
+          store_lanes(buf.data() + j * lw, nx[j]);
+        }
+        for (std::size_t k = 0; k < L; ++k) {
+          po[k][i] = pb[k];
+          ro[k][i] = rb[k];
+          xo[k][i] = buf[k];
+        }
+      }
+    }
+  });
+}
+
+/// The basis + Gram phase of one outer iteration for the na RHS whose
+/// p and r vectors are @p pv / @p rv.  Stored: each rank materializes
+/// all 2s+1 columns of its owned rows (redundantly extending into the
+/// ghost region), writes each finished owned column to slow memory
+/// once and keeps the panels in @p V for recovery.  Streaming (pass
+/// 1): the basis is built chunkwise in fast buffers and discarded,
+/// writing nothing to slow memory.  Per-RHS vector words carry the na
+/// multiplier; the A stream is charged once per build.  @p g[rank]
+/// receives the packed Gram partials (gram_acc's layout).
+void basis_gram_phase(PartRun& rp, const BasisPlan& plan, CaCgMode mode,
+                      const kd::BasisCoeffs& bc, std::size_t s,
+                      const std::vector<std::size_t>& recv_s,
+                      std::span<const double* const> pv,
+                      std::span<const double* const> rv,
+                      std::vector<Panels>& V,
+                      std::vector<std::vector<double>>& g, bool reuse) {
+  Machine& m = rp.m;
+  const std::size_t mm = 2 * s + 1;
+  const std::uint64_t na = pv.size();
+  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
+    g[rank].assign(mm * mm * na, 0.0);
+    if (rp.own_sz[rank] == 0) {
+      V[rank].col.clear();
+      return;
+    }
+    const std::size_t osz = rp.own_sz[rank];
+    detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
+    if (mode == CaCgMode::kStored) {
+      Panels& W = V[rank];
+      const BasisChunk& ck = plan[rank][0];
+      const std::uint64_t a_words = build_basis(ck, bc, s, pv, rv, W, reuse);
+      detail::charge_l3_read(h, na * 2 * osz, m.M2());
+      detail::charge_l3_write(h, na * 2 * osz, m.M2());  // basis heads
+      detail::charge_l3_read(h, a_words, m.M2());        // A, shared
+      // Every non-head column of the owned rows hits slow memory
+      // once -- the Theta(n) stored-basis write stream.
+      detail::charge_l3_write(h, na * (2 * s - 1) * osz, m.M2());
+      gram_acc(ck, mm, W, g[rank].data());
+      detail::charge_l3_read(h, na * mm * osz, m.M2());  // basis re-read
+      return;
+    }
+    Panels& W = V[rank];
+    for (const BasisChunk& ck : plan[rank]) {
+      const std::uint64_t a_words = build_basis(ck, bc, s, pv, rv, W, reuse);
+      // Slow-memory reads: the extent's overlap with the rank's owned
+      // rows (ghost rows arrived by network).
+      detail::charge_l3_read(h, na * 2 * ck.overlap, m.M2());
+      detail::charge_l3_read(h, a_words, m.M2());  // A, shared
+      gram_acc(ck, mm, W, g[rank].data());
+    }
+  });
+}
+
+/// The recovery phase for the RHS in @p rhs.  Stored: read back the
+/// panels @p V of the basis phase (rhs[].k index their slots).
+/// Streaming (pass 2): rebuild the basis chunkwise from @p pv / @p rv
+/// -- rhs[k] is the k-th of them -- and fuse the recovery (the <= 2x
+/// flop doubling the paper trades for the Theta(s) write reduction);
+/// only x, p, r are written.
+void recover_phase(PartRun& rp, const BasisPlan& plan, CaCgMode mode,
+                   const kd::BasisCoeffs& bc, std::size_t s,
+                   std::span<const double* const> pv,
+                   std::span<const double* const> rv,
+                   std::vector<Panels>& V, std::span<const RecoverRhs> rhs,
+                   bool reuse) {
+  Machine& m = rp.m;
+  const std::size_t mm = 2 * s + 1;
+  const std::uint64_t nr = rhs.size();
+  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
+    if (rp.own_sz[rank] == 0) return;
+    if (mode == CaCgMode::kStored) {
+      const std::size_t osz = rp.own_sz[rank];
+      recover(plan[rank][0], mm, V[rank], rhs);
+      detail::charge_l3_read(h, nr * (mm * osz + osz), m.M2());
+      detail::charge_l3_write(h, nr * 3 * osz, m.M2());
+      return;
+    }
+    Panels& W = V[rank];
+    for (const BasisChunk& ck : plan[rank]) {
+      const std::uint64_t a_words = build_basis(ck, bc, s, pv, rv, W, reuse);
+      detail::charge_l3_read(h, nr * 2 * ck.overlap, m.M2());
+      detail::charge_l3_read(h, a_words, m.M2());  // A, shared
+      recover(ck, mm, W, rhs);
+      detail::charge_l3_read(h, nr * ck.tsz, m.M2());       // x
+      detail::charge_l3_write(h, nr * 3 * ck.tsz, m.M2());  // x, p, r
+    }
+  });
 }
 
 /// Shared solve setup: ghost exchange of x, per-rank r = b - A x and
@@ -753,23 +1002,21 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
   std::size_t restarts = 0;
   constexpr std::size_t kMaxRestarts = 25;
 
-  std::vector<double> x_snap(n), p_snap(n), r_snap(n);
+  // Rollback state of an outer iteration.  Streaming recovers into
+  // pn, rn and swaps, so the swapped-out buffers hold the entry p, r
+  // and no copy is needed; stored recovery overwrites p, r in place.
+  const bool stored = opt.mode == CaCgMode::kStored;
+  std::vector<double> x_snap(n), p_snap, r_snap;
   std::vector<double> pn(n), rn(n);  // streaming recovery targets
 
   // Per-rank scratch living across the basis and recovery phases of
   // one outer iteration (and, with exec.reuse_scratch, across outer
-  // iterations and streaming blocks): the rank's extended basis and
-  // its Gram partial.  Indexed by rank, so concurrent phases touch
+  // iterations and streaming blocks): the rank's basis panels and its
+  // Gram partial.  Indexed by rank, so concurrent phases touch
   // disjoint slots.
-  std::vector<std::vector<std::vector<double>>> Vloc(P);
-  std::vector<kd::Small> gpart(P, kd::Small(mm));
-
-  // Sparsity-derived basis plans, built once per solve (the closure
-  // and level sets depend only on the pattern and s).
-  std::vector<std::vector<GraphChunk>> gplan;
-  if (rp.gp != nullptr) {
-    gplan = make_graph_plan(A, *rp.gp, s, opt.mode, block_rows);
-  }
+  std::vector<Panels> V(P);
+  std::vector<std::vector<double>> gpart(P);
+  const BasisPlan plan = make_basis_plan(rp, s, opt.mode, block_rows);
 
   for (std::size_t outer = 0; outer < opt.max_outer; ++outer) {
     if (delta <= stop) {
@@ -778,116 +1025,25 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
     }
     const double delta_enter = delta;
     x_snap.assign(x.begin(), x.end());
-    p_snap = p;
-    r_snap = r;
-
-    kd::Small G(mm);
-    for (kd::Small& gp : gpart) std::fill(gp.a.begin(), gp.a.end(), 0.0);
+    if (stored) {
+      p_snap = p;
+      r_snap = r;
+    }
+    // Taken per outer: streaming swaps p, r with pn, rn.
+    const std::array<const double*, 1> pv{p.data()}, rv{r.data()};
 
     // One ghost exchange of depth s*radius covers every basis column
     // of the outer iteration (the matrix-powers optimization).
     rp.exchange(halo_s, 2);  // p and r travel together
-
-    if (opt.mode == CaCgMode::kStored) {
-      // ---- basis + Gram phase: each rank materializes all 2s+1
-      // columns of its own nodes (redundantly extending into the
-      // ghost region), writing each finished own-node column to slow
-      // memory once, then accumulates its Gram partial.
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        auto& W = Vloc[rank];
-        if (rp.own_sz[rank] == 0) {
-          W.clear();
-          return;
-        }
-        if (rp.gp != nullptr) {
-          // Same charge shapes as the box body below; only the basis
-          // extent and Gram ranges come from the sparsity plan.
-          const std::size_t osz = rp.own_sz[rank];
-          const GraphChunk& ck = gplan[rank][0];
-          const std::uint64_t a_words =
-              build_basis_graph(ck, bc, s, p, r, W, exec.reuse_scratch);
-          detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
-          detail::charge_l3_read(h, 2 * osz, m.M2());
-          detail::charge_l3_write(h, 2 * osz, m.M2());  // basis heads
-          detail::charge_l3_read(h, a_words, m.M2());
-          detail::charge_l3_write(h, (2 * s - 1) * osz, m.M2());
-          graph_gram(ck, gpart[rank], mm, W);
-          detail::charge_l3_read(h, mm * osz, m.M2());  // basis re-read
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        const std::size_t osz = rp.own_sz[rank];
-        const NodeBox ebox = part.extended(rank, ext);
-        const std::uint64_t a_words =
-            build_basis_box(A, part, bc, s, p, r, ebox, W,
-                            exec.reuse_scratch);
-        detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
-        detail::charge_l3_read(h, 2 * osz, m.M2());
-        detail::charge_l3_write(h, 2 * osz, m.M2());  // basis heads
-        detail::charge_l3_read(h, a_words, m.M2());
-        // Every non-head column of the rank's own nodes hits slow
-        // memory once -- the Theta(n) stored-basis write stream.
-        detail::charge_l3_write(h, (2 * s - 1) * osz, m.M2());
-
-        kd::Small& gp = gpart[rank];
-        std::vector<const double*> wp(mm);
-        for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-        for_each_run_local(
-            part, o, ebox,
-            [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-              linalg::active_kernels().gram_upper_acc(
-                  gp.a.data(), mm, wp.data(), lb, lb + (ghi - glo));
-            });
-        detail::charge_l3_read(h, mm * osz, m.M2());  // basis re-read
-      });
-    } else {
-      // ---- streaming pass 1: blockwise basis + Gram accumulation;
-      // basis blocks live in fast buffers and are discarded, so this
-      // pass writes nothing to slow memory.
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
-        kd::Small& gp = gpart[rank];
-        auto& W = Vloc[rank];
-        if (rp.gp != nullptr) {
-          for (const GraphChunk& ck : gplan[rank]) {
-            const std::uint64_t a_words =
-                build_basis_graph(ck, bc, s, p, r, W, exec.reuse_scratch);
-            detail::charge_l3_read(h, 2 * ck.overlap, m.M2());
-            detail::charge_l3_read(h, a_words, m.M2());
-            graph_gram(ck, gp, mm, W);
-          }
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
-          const NodeBox ebox = dilate_clipped(part, c, ext);
-          const std::uint64_t a_words =
-              build_basis_box(A, part, bc, s, p, r, ebox, W,
-                              exec.reuse_scratch);
-          // Slow-memory reads: the extent's overlap with the rank's
-          // own nodes (adjacent own blocks re-read the overlap -- the
-          // <= 2x read amplification); ghost nodes arrived by network.
-          detail::charge_l3_read(h, 2 * box_overlap(ebox, o), m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());
-
-          std::vector<const double*> wp(mm);
-          for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-          for_each_run_local(
-              part, c, ebox,
-              [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                linalg::active_kernels().gram_upper_acc(
-                    gp.a.data(), mm, wp.data(), lb, lb + (ghi - glo));
-              });
-        }
-      });
-    }
+    basis_gram_phase(rp, plan, opt.mode, bc, s, recv_s, pv, rv, V, gpart,
+                     exec.reuse_scratch);
 
     // Allreduce of the Gram partials: combined in rank order, charged
     // as reduce + bcast of the upper triangle.
+    kd::Small G(mm);
     for (std::size_t q = 0; q < P; ++q) {
       for (std::size_t a = 0; a < mm; ++a) {
-        for (std::size_t c = a; c < mm; ++c) G(a, c) += gpart[q](a, c);
+        for (std::size_t c = a; c < mm; ++c) G(a, c) += gpart[q][a * mm + c];
       }
     }
     linalg::gram_mirror(G.a.data(), mm);
@@ -906,88 +1062,13 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
     out.iterations += s;
 
     // ---- recovery: [p, r, x] = [P, R] [ph, rh, xh] + [0, 0, x].
-    if (opt.mode == CaCgMode::kStored) {
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        const std::size_t osz = rp.own_sz[rank];
-        if (rp.gp != nullptr) {
-          graph_recover(gplan[rank][0], mm, Vloc[rank], ph, rh, xh, x, p,
-                        r);
-          detail::charge_l3_read(h, mm * osz + osz, m.M2());
-          detail::charge_l3_write(h, 3 * osz, m.M2());
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        const NodeBox ebox = part.extended(rank, ext);
-        const auto& W = Vloc[rank];
-        for_each_run_local(
-            part, o, ebox,
-            [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-              for (std::size_t i = glo; i < ghi; ++i) {
-                const std::size_t li = lb + i - glo;
-                double np = 0, nr = 0, nx2 = x[i];
-                for (std::size_t a = 0; a < mm; ++a) {
-                  np += W[a][li] * ph[a];
-                  nr += W[a][li] * rh[a];
-                  nx2 += W[a][li] * xh[a];
-                }
-                p[i] = np;
-                r[i] = nr;
-                x[i] = nx2;
-              }
-            });
-        detail::charge_l3_read(h, mm * osz + osz, m.M2());
-        detail::charge_l3_write(h, 3 * osz, m.M2());
-      });
-    } else {
-      // ---- streaming pass 2: recompute the basis blockwise and fuse
-      // the recovery (the <= 2x flop doubling the paper trades for
-      // the Theta(s) write reduction); only x, p, r are written.
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        auto& W = Vloc[rank];
-        if (rp.gp != nullptr) {
-          for (const GraphChunk& ck : gplan[rank]) {
-            const std::uint64_t a_words =
-                build_basis_graph(ck, bc, s, p, r, W, exec.reuse_scratch);
-            detail::charge_l3_read(h, 2 * ck.overlap, m.M2());
-            detail::charge_l3_read(h, a_words, m.M2());
-            graph_recover(ck, mm, W, ph, rh, xh, x, pn, rn);
-            detail::charge_l3_read(h, ck.tsz, m.M2());       // x
-            detail::charge_l3_write(h, 3 * ck.tsz, m.M2());  // x, p, r
-          }
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
-          const NodeBox ebox = dilate_clipped(part, c, ext);
-          const std::uint64_t a_words =
-              build_basis_box(A, part, bc, s, p, r, ebox, W,
-                              exec.reuse_scratch);
-          detail::charge_l3_read(h, 2 * box_overlap(ebox, o), m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());
-
-          for_each_run_local(
-              part, c, ebox,
-              [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                for (std::size_t i = glo; i < ghi; ++i) {
-                  const std::size_t li = lb + i - glo;
-                  double np = 0, nr = 0, nx2 = x[i];
-                  for (std::size_t a = 0; a < mm; ++a) {
-                    np += W[a][li] * ph[a];
-                    nr += W[a][li] * rh[a];
-                    nx2 += W[a][li] * xh[a];
-                  }
-                  pn[i] = np;
-                  rn[i] = nr;
-                  x[i] = nx2;
-                }
-              });
-          const std::size_t csz = c.volume();
-          detail::charge_l3_read(h, csz, m.M2());       // x
-          detail::charge_l3_write(h, 3 * csz, m.M2());  // x, p, r
-        }
-      });
+    // Streaming rebuilds from p and r, so it recovers into pn, rn.
+    const std::array<RecoverRhs, 1> rec{RecoverRhs{
+        0, ph.data(), rh.data(), xh.data(), x.data(),
+        stored ? p.data() : pn.data(), stored ? r.data() : rn.data()}};
+    recover_phase(rp, plan, opt.mode, bc, s, pv, rv, V, rec,
+                  exec.reuse_scratch);
+    if (!stored) {
       p.swap(pn);
       r.swap(rn);
     }
@@ -1011,9 +1092,12 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
       if (++restarts > kMaxRestarts) break;
       out.iterations -= s;
       std::copy(x_snap.begin(), x_snap.end(), x.begin());
-      for (std::size_t i = 0; i < n; ++i) {
-        p[i] = p_snap[i];
-        r[i] = r_snap[i];
+      if (stored) {
+        p = p_snap;
+        r = r_snap;
+      } else {
+        p.swap(pn);
+        r.swap(rn);
       }
       delta = delta_enter;
       for (std::size_t j = 0; j < s && delta > stop; ++j) {
@@ -1054,12 +1138,17 @@ KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
 // floating-point operation an RHS sees is the one the single-RHS
 // solver would execute, in the same order, so iterates are bitwise-
 // identical for any batch composition and finished/broken-down RHS
-// drop out without perturbing the others.  Sharing happens in the
-// *charging*: words of A are read once per traversal, each halo
+// drop out without perturbing the others.  The CA-CG basis traversal
+// is really shared: build_basis makes one pass over each row of a
+// rank's extent-local A for all active RHS, whose panels are stored
+// RHS-fastest (each output still summed in A's stored column order),
+// so A is read once per basis level per batch, as charged.  Each halo
 // exchange is one event shipping all active panels, and each
 // allreduce is one event combining all active scalars/Grams.  Per-RHS
 // vector words carry an active-count multiplier, so at nrhs == 1
-// every counter is identical to the single-RHS solver's.
+// every counter is identical to the single-RHS solver's.  (The
+// classical-CG steps, cg_step_batch and residual_setup_batch, still
+// run one SpMV per RHS and share A only in the charging.)
 
 namespace {
 
@@ -1352,27 +1441,22 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   constexpr std::size_t kMaxRestarts = 25;
   std::vector<char> finished(nrhs, 0);
 
+  // Rollback state, as in ca_cg: streaming's swapped-out pn, rn hold
+  // the entry p, r, so only the stored mode copies them.
+  const bool stored = opt.mode == CaCgMode::kStored;
   std::vector<std::vector<double>> x_snap(nrhs), p_snap(nrhs), r_snap(nrhs);
   std::vector<std::vector<double>> pn(nrhs), rn(nrhs);
 
-  // Per-rank scratch: the stored mode keeps every RHS's extended
-  // basis alive until recovery (rank x RHS slots); the streaming mode
-  // rebuilds blockwise, so one basis block per rank is recycled
-  // across chunks and RHS.  Gram partials are per rank per RHS.
-  std::vector<std::vector<std::vector<std::vector<double>>>> Vloc(
-      P, std::vector<std::vector<std::vector<double>>>(nrhs));
-  std::vector<std::vector<std::vector<double>>> Wloc(P);
-  std::vector<std::vector<kd::Small>> gpart(
-      P, std::vector<kd::Small>(nrhs, kd::Small(mm)));
+  // Per-rank scratch: each rank's basis panels (all active RHS
+  // interleaved, kept from the basis phase to the stored recovery and
+  // recycled across chunks when streaming) and packed Gram partials.
+  std::vector<Panels> V(P);
+  std::vector<std::vector<double>> gpart(P);
   std::vector<std::vector<double>> partj(nrhs,
                                          std::vector<double>(P, 0.0));
-
-  // Sparsity-derived basis plans, shared by every RHS (the closure
-  // and level sets depend only on the pattern and s).
-  std::vector<std::vector<GraphChunk>> gplan;
-  if (rp.gp != nullptr) {
-    gplan = make_graph_plan(A, *rp.gp, s, opt.mode, block_rows);
-  }
+  // One plan serves every RHS (extents and level sets depend only on
+  // the pattern and s).
+  const BasisPlan plan = make_basis_plan(rp, s, opt.mode, block_rows);
 
   for (std::size_t outer = 0; outer < opt.max_outer; ++outer) {
     std::vector<std::size_t> act;
@@ -1388,130 +1472,46 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     if (act.empty()) break;
     const std::uint64_t na = act.size();
 
-    for (const std::size_t j : act) {
+    std::vector<const double*> pv(na), rv(na);
+    for (std::size_t k = 0; k < na; ++k) {
+      const std::size_t j = act[k];
       delta_enter[j] = delta[j];
       const auto xj = X.subspan(j * n, n);
       x_snap[j].assign(xj.begin(), xj.end());
-      p_snap[j] = p[j];
-      r_snap[j] = r[j];
-    }
-
-    std::vector<kd::Small> G(nrhs, kd::Small(mm));
-    for (std::size_t q = 0; q < P; ++q) {
-      for (const std::size_t j : act) {
-        std::fill(gpart[q][j].a.begin(), gpart[q][j].a.end(), 0.0);
+      if (stored) {
+        p_snap[j] = p[j];
+        r_snap[j] = r[j];
       }
+      pv[k] = p[j].data();
+      rv[k] = r[j].data();
     }
 
     // One ghost exchange event per outer iteration ships the p and r
-    // panels of every active RHS together.
+    // panels of every active RHS together; one basis pass serves them.
     rp.exchange(halo_s, 2 * na);
-
-    if (opt.mode == CaCgMode::kStored) {
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) {
-          for (const std::size_t j : act) Vloc[rank][j].clear();
-          return;
-        }
-        const std::size_t osz = rp.own_sz[rank];
-        if (rp.gp != nullptr) {
-          const GraphChunk& ck = gplan[rank][0];
-          std::uint64_t a_words = 0;
-          for (const std::size_t j : act) {
-            a_words = build_basis_graph(ck, bc, s, p[j], r[j],
-                                        Vloc[rank][j], exec.reuse_scratch);
-            graph_gram(ck, gpart[rank][j], mm, Vloc[rank][j]);
-          }
-          detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
-          detail::charge_l3_read(h, na * 2 * osz, m.M2());
-          detail::charge_l3_write(h, na * 2 * osz, m.M2());  // basis heads
-          detail::charge_l3_read(h, a_words, m.M2());        // A, shared
-          detail::charge_l3_write(h, na * (2 * s - 1) * osz, m.M2());
-          detail::charge_l3_read(h, na * mm * osz, m.M2());  // Gram re-read
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        const NodeBox ebox = part.extended(rank, ext);
-        std::uint64_t a_words = 0;
-        for (const std::size_t j : act) {
-          auto& W = Vloc[rank][j];
-          // Identical geometry for every RHS, so a_words is the same
-          // each time; it is charged once for the whole batch below.
-          a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W,
-                                    exec.reuse_scratch);
-          kd::Small& gp = gpart[rank][j];
-          std::vector<const double*> wp(mm);
-          for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-          for_each_run_local(
-              part, o, ebox,
-              [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                linalg::active_kernels().gram_upper_acc(
-                    gp.a.data(), mm, wp.data(), lb, lb + (ghi - glo));
-              });
-        }
-        detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
-        detail::charge_l3_read(h, na * 2 * osz, m.M2());
-        detail::charge_l3_write(h, na * 2 * osz, m.M2());  // basis heads
-        detail::charge_l3_read(h, a_words, m.M2());        // A, shared
-        detail::charge_l3_write(h, na * (2 * s - 1) * osz, m.M2());
-        detail::charge_l3_read(h, na * mm * osz, m.M2());  // Gram re-read
-      });
-    } else {
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
-        auto& W = Wloc[rank];
-        if (rp.gp != nullptr) {
-          for (const GraphChunk& ck : gplan[rank]) {
-            std::uint64_t a_words = 0;
-            for (const std::size_t j : act) {
-              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W,
-                                          exec.reuse_scratch);
-              graph_gram(ck, gpart[rank][j], mm, W);
-            }
-            detail::charge_l3_read(h, na * 2 * ck.overlap, m.M2());
-            detail::charge_l3_read(h, a_words, m.M2());  // A, shared
-          }
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
-          const NodeBox ebox = dilate_clipped(part, c, ext);
-          std::uint64_t a_words = 0;
-          for (const std::size_t j : act) {
-            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W,
-                                      exec.reuse_scratch);
-            kd::Small& gp = gpart[rank][j];
-            std::vector<const double*> wp(mm);
-            for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-            for_each_run_local(
-                part, c, ebox,
-                [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                  linalg::active_kernels().gram_upper_acc(
-                      gp.a.data(), mm, wp.data(), lb, lb + (ghi - glo));
-                });
-          }
-          detail::charge_l3_read(h, na * 2 * box_overlap(ebox, o), m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());  // A, shared
-        }
-      });
-    }
+    basis_gram_phase(rp, plan, opt.mode, bc, s, recv_s, pv, rv, V, gpart,
+                     exec.reuse_scratch);
 
     // Gram combine per RHS, one allreduce event for all active
     // triangles.
-    for (const std::size_t j : act) {
+    std::vector<kd::Small> G(nrhs, kd::Small(mm));
+    for (std::size_t k = 0; k < na; ++k) {
+      kd::Small& Gj = G[act[k]];
       for (std::size_t q = 0; q < P; ++q) {
         for (std::size_t a = 0; a < mm; ++a) {
-          for (std::size_t c = a; c < mm; ++c) G[j](a, c) += gpart[q][j](a, c);
+          for (std::size_t c = a; c < mm; ++c) {
+            Gj(a, c) += gpart[q][(a * mm + c) * na + k];
+          }
         }
       }
-      linalg::gram_mirror(G[j].a.data(), mm);
+      linalg::gram_mirror(Gj.a.data(), mm);
     }
     rp.allreduce_charge(na * (mm * (mm + 1) / 2));
 
     std::vector<std::vector<double>> xh(nrhs), ph(nrhs), rh(nrhs);
-    std::vector<std::size_t> act2;
-    for (const std::size_t j : act) {
+    std::vector<std::size_t> act2, slot2;  // survivors, their basis slots
+    for (std::size_t k = 0; k < na; ++k) {
+      const std::size_t j = act[k];
       xh[j].assign(mm, 0.0);
       ph[j].assign(mm, 0.0);
       rh[j].assign(mm, 0.0);
@@ -1526,107 +1526,33 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       }
       out.rhs[j].iterations += s;
       act2.push_back(j);
+      slot2.push_back(k);
     }
     if (act2.empty()) continue;
     const std::uint64_t na2 = act2.size();
 
-    if (opt.mode == CaCgMode::kStored) {
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        const std::size_t osz = rp.own_sz[rank];
-        if (rp.gp != nullptr) {
-          const GraphChunk& ck = gplan[rank][0];
-          for (const std::size_t j : act2) {
-            const auto xj = X.subspan(j * n, n);
-            graph_recover(ck, mm, Vloc[rank][j], ph[j], rh[j], xh[j], xj,
-                          p[j], r[j]);
-          }
-          detail::charge_l3_read(h, na2 * (mm * osz + osz), m.M2());
-          detail::charge_l3_write(h, na2 * 3 * osz, m.M2());
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        const NodeBox ebox = part.extended(rank, ext);
-        for (const std::size_t j : act2) {
-          const auto xj = X.subspan(j * n, n);
-          const auto& W = Vloc[rank][j];
-          for_each_run_local(
-              part, o, ebox,
-              [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                for (std::size_t i = glo; i < ghi; ++i) {
-                  const std::size_t li = lb + i - glo;
-                  double np = 0, nr = 0, nx2 = xj[i];
-                  for (std::size_t a = 0; a < mm; ++a) {
-                    np += W[a][li] * ph[j][a];
-                    nr += W[a][li] * rh[j][a];
-                    nx2 += W[a][li] * xh[j][a];
-                  }
-                  p[j][i] = np;
-                  r[j][i] = nr;
-                  xj[i] = nx2;
-                }
-              });
-        }
-        detail::charge_l3_read(h, na2 * (mm * osz + osz), m.M2());
-        detail::charge_l3_write(h, na2 * 3 * osz, m.M2());
-      });
-    } else {
-      for (const std::size_t j : act2) {
+    // Stored recovery reads the survivors' slots of the basis panels
+    // into p, r; streaming rebuilds for the survivors only (slot = its
+    // index among them) and recovers into pn, rn.
+    std::vector<RecoverRhs> rec;
+    std::vector<const double*> pv2, rv2;
+    for (std::size_t k = 0; k < na2; ++k) {
+      const std::size_t j = act2[k];
+      if (!stored) {
         pn[j].resize(n);
         rn[j].resize(n);
+        pv2.push_back(p[j].data());
+        rv2.push_back(r[j].data());
       }
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        auto& W = Wloc[rank];
-        if (rp.gp != nullptr) {
-          for (const GraphChunk& ck : gplan[rank]) {
-            std::uint64_t a_words = 0;
-            for (const std::size_t j : act2) {
-              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W,
-                                          exec.reuse_scratch);
-              const auto xj = X.subspan(j * n, n);
-              graph_recover(ck, mm, W, ph[j], rh[j], xh[j], xj, pn[j],
-                            rn[j]);
-            }
-            detail::charge_l3_read(h, na2 * 2 * ck.overlap, m.M2());
-            detail::charge_l3_read(h, a_words, m.M2());  // A, shared
-            detail::charge_l3_read(h, na2 * ck.tsz, m.M2());       // x
-            detail::charge_l3_write(h, na2 * 3 * ck.tsz, m.M2());  // x, p, r
-          }
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
-          const NodeBox ebox = dilate_clipped(part, c, ext);
-          std::uint64_t a_words = 0;
-          for (const std::size_t j : act2) {
-            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W,
-                                      exec.reuse_scratch);
-            const auto xj = X.subspan(j * n, n);
-            for_each_run_local(
-                part, c, ebox,
-                [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                  for (std::size_t i = glo; i < ghi; ++i) {
-                    const std::size_t li = lb + i - glo;
-                    double np = 0, nr = 0, nx2 = xj[i];
-                    for (std::size_t a = 0; a < mm; ++a) {
-                      np += W[a][li] * ph[j][a];
-                      nr += W[a][li] * rh[j][a];
-                      nx2 += W[a][li] * xh[j][a];
-                    }
-                    pn[j][i] = np;
-                    rn[j][i] = nr;
-                    xj[i] = nx2;
-                  }
-                });
-          }
-          const std::size_t csz = c.volume();
-          detail::charge_l3_read(h, na2 * 2 * box_overlap(ebox, o), m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());      // A, shared
-          detail::charge_l3_read(h, na2 * csz, m.M2());    // x
-          detail::charge_l3_write(h, na2 * 3 * csz, m.M2());  // x, p, r
-        }
-      });
+      rec.push_back(RecoverRhs{stored ? slot2[k] : k, ph[j].data(),
+                               rh[j].data(), xh[j].data(),
+                               X.subspan(j * n, n).data(),
+                               stored ? p[j].data() : pn[j].data(),
+                               stored ? r[j].data() : rn[j].data()});
+    }
+    recover_phase(rp, plan, opt.mode, bc, s, pv2, rv2, V, rec,
+                  exec.reuse_scratch);
+    if (!stored) {
       for (const std::size_t j : act2) {
         p[j].swap(pn[j]);
         r[j].swap(rn[j]);
@@ -1658,9 +1584,12 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
         out.rhs[j].iterations -= s;
         const auto xj = X.subspan(j * n, n);
         std::copy(x_snap[j].begin(), x_snap[j].end(), xj.begin());
-        for (std::size_t i = 0; i < n; ++i) {
-          p[j][i] = p_snap[j][i];
-          r[j][i] = r_snap[j][i];
+        if (stored) {
+          p[j] = p_snap[j];
+          r[j] = r_snap[j];
+        } else {
+          p[j].swap(pn[j]);
+          r[j].swap(rn[j]);
         }
         delta[j] = delta_enter[j];
         restart_set.push_back(j);

@@ -115,9 +115,12 @@ KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
 /// costs are paid once per batch: one traversal of A per basis level
 /// (or SpMV), one ghost-exchange event per outer iteration shipping
 /// all active panels together, and one allreduce event combining all
-/// active Gram matrices / dot products.  Per-RHS vector words are
-/// charged per RHS, so at nrhs == 1 every counter reduces exactly to
-/// the single-RHS solver's.
+/// active Gram matrices / dot products.  The CA-CG basis traversal is
+/// shared in execution too: one fused matrix-powers pass over each
+/// row of a rank's extent serves every active RHS (the classical-CG
+/// SpMVs still run per RHS).  Per-RHS vector words are charged per
+/// RHS, so at nrhs == 1 every counter reduces exactly to the
+/// single-RHS solver's.
 KrylovBatchResult cg_batch(Machine& m, const Partition& part,
                            const sparse::Csr& A, std::span<const double> B,
                            std::span<double> X, std::size_t nrhs,

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "dist/backend.hpp"
@@ -279,6 +280,105 @@ TEST(DistBatch, CountersAndBitsIdenticalSerialVsThreaded) {
       EXPECT_TRUE(bits_equal(x_serial, x_threaded))
           << "P=" << P << " mode=" << int(mode);
       expect_counters_equal(serial, threaded);
+    }
+  }
+}
+
+TEST(DistBatch, ColumnsBitwiseEqualSingleOffThe1DPath) {
+  // The fused basis kernel serves every active RHS in one pass over
+  // extent-local rows with RHS-fastest panels.  Pin that batching
+  // changes no column's bits on the geometries it reads through that
+  // plan: ragged 2-D 9-point tiles, a cross stencil (diamond halo),
+  // layered 3-D tiles and a graph partition -- stored and streaming,
+  // with block_rows small enough for several chunks per rank.  b = 5
+  // fits no SIMD width, b = 27 takes every lane-block width (16, 8,
+  // 2, 1), and column 2 is zero, so it retires at outer 0.
+  struct Case {
+    const char* name;
+    sparse::Csr A;
+    std::size_t P;
+  };
+  const Case cases[] = {
+      {"ragged 9-point", sparse::stencil_2d(20, 13, 1), 6},
+      {"cross", sparse::stencil_2d_cross(20, 13, 1), 4},
+      {"layered 3-D", sparse::poisson_3d(6, 5, 4), 4},
+      {"graph", sparse::small_world_graph(300, 2, 8, 7), 4},
+  };
+  const std::size_t zero = 2;
+  const auto check = [&](const Case& c, std::size_t nrhs, CaCgMode mode) {
+    const sparse::Csr& A = c.A;
+    const std::size_t n = A.n;
+    const auto part = dist::make_partition(c.P, A);
+    ASSERT_EQ(part->graph() != nullptr, !A.has_geometry()) << c.name;
+    std::vector<double> B = panel_for(A, nrhs, 61);
+    std::fill(B.begin() + std::ptrdiff_t(zero * n),
+              B.begin() + std::ptrdiff_t((zero + 1) * n), 0.0);
+    CaCgOptions opt;
+    opt.s = 4;
+    opt.tol = 1e-10;
+    opt.mode = mode;
+    opt.block_rows = 16;
+    dist::Machine mb = make_machine(c.P);
+    std::vector<double> X(n * nrhs, 0.0);
+    const auto batch = dist::ca_cg_batch(mb, *part, A, B, X, nrhs, opt);
+    EXPECT_EQ(batch.rhs[zero].iterations, 0u) << c.name;
+    for (std::size_t j = 0; j < nrhs; ++j) {
+      dist::Machine ms = make_machine(c.P);
+      std::vector<double> x(n, 0.0);
+      const auto solo = dist::ca_cg(
+          ms, *part, A, std::span<const double>(B).subspan(j * n, n), x, opt);
+      const std::string where = std::string(c.name) + " b=" +
+                                std::to_string(nrhs) +
+                                " mode=" + std::to_string(int(mode)) +
+                                " rhs " + std::to_string(j);
+      EXPECT_TRUE(solo.converged) << where;
+      EXPECT_EQ(solo.iterations, batch.rhs[j].iterations) << where;
+      EXPECT_TRUE(
+          bits_equal(x, std::span<const double>(X).subspan(j * n, n)))
+          << where;
+    }
+  };
+  for (const Case& c : cases) {
+    for (const std::size_t nrhs : {std::size_t(5), std::size_t(27)}) {
+      for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+        check(c, nrhs, mode);
+      }
+    }
+  }
+}
+
+TEST(DistBatch, RollbackLeavesColumnsBitwiseEqualSingle) {
+  // s = 12 with the monomial basis breaks down on this operator, so
+  // outer iterations roll back and take classical-CG steps instead.
+  // Streaming rolls p, r back by swapping its recovery buffers and
+  // stored mode by copying its snapshots; either way every column
+  // must stay bitwise-equal to a single-RHS solve.
+  const auto A = sparse::stencil_1d(2048, 2);
+  const std::size_t n = A.n, nrhs = 3, P = 4;
+  std::vector<double> B(n * nrhs);
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (auto& v : B) v = dist(rng);
+  const auto part = dist::make_partition(P, A);
+  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+    CaCgOptions opt;
+    opt.s = 12;
+    opt.tol = 1e-9;
+    opt.mode = mode;
+    opt.max_outer = 12;
+    dist::Machine mb = make_machine(P);
+    std::vector<double> X(n * nrhs, 0.0);
+    const auto batch = dist::ca_cg_batch(mb, *part, A, B, X, nrhs, opt);
+    for (std::size_t j = 0; j < nrhs; ++j) {
+      dist::Machine ms = make_machine(P);
+      std::vector<double> x(n, 0.0);
+      const auto solo = dist::ca_cg(
+          ms, *part, A, std::span<const double>(B).subspan(j * n, n), x, opt);
+      EXPECT_EQ(solo.iterations, batch.rhs[j].iterations)
+          << "mode=" << int(mode) << " rhs " << j;
+      EXPECT_TRUE(
+          bits_equal(x, std::span<const double>(X).subspan(j * n, n)))
+          << "mode=" << int(mode) << " rhs " << j;
     }
   }
 }

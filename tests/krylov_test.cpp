@@ -70,6 +70,15 @@ TEST_P(CaCgSweep, SolvesToSameAccuracyAsCg) {
   opt.tol = 1e-10;
   opt.max_outer = 400;
   const auto res = ca_cg(a, b, x, opt);
+  std::vector<double> xc(a.n, 0.0);
+  const auto ref = cg(a, b, xc, 500, opt.tol);
+  ASSERT_TRUE(ref.converged);
+  // Whole outer iterations of s steps: at most one more than CG needs
+  // (no restart slipped in on this well-conditioned system).
+  EXPECT_TRUE(res.converged) << "s=" << s << " mode=" << int(mode);
+  EXPECT_GT(res.iterations, 0u);
+  EXPECT_LE(res.iterations, ref.iterations + s)
+      << "s=" << s << " mode=" << int(mode);
   EXPECT_LT(rel_residual(a, b, x), 1e-7)
       << "s=" << s << " mode=" << int(mode);
 }
