@@ -332,6 +332,7 @@ BasisChunk make_box_chunk(const sparse::Csr& A, const Partition& part,
                        });
     return rn;
   };
+  ck.ext.reserve(ebox.volume());
   for_each_run_local(part, ebox, ebox,
                      [&](std::size_t glo, std::size_t ghi, std::size_t) {
                        for (std::size_t i = glo; i < ghi; ++i) {
@@ -352,33 +353,38 @@ BasisChunk make_box_chunk(const sparse::Csr& A, const Partition& part,
                                         vz.off + vz.sz}));
   }
 
-  // A table over the extent's global index span maps columns to local
-  // rows (no per-entry coordinate arithmetic); then the local CSR of
-  // the level-1 rows, whose columns all lie inside the extent when
-  // the partition's radius covers A's stencil.
-  const std::size_t base = ck.ext.front();
-  std::vector<std::size_t> loc(ck.ext.back() - base + 1, std::size_t(-1));
-  for (std::size_t li = 0; li < len; ++li) loc[ck.ext[li] - base] = li;
+  // The local CSR of the level-1 rows: each column's mesh coordinates
+  // give its local row, once per plan (not per RHS and level); the
+  // columns all lie inside the extent when the partition's radius
+  // covers A's stencil.
+  const std::size_t nx = part.nx(), plane = nx * part.ny();
   std::vector<char> in1(len, 0);
+  std::size_t nnz1 = 0;
   for (const auto& [lo, hi] : ck.lvl[0]) {
-    std::fill(in1.begin() + std::ptrdiff_t(lo),
-              in1.begin() + std::ptrdiff_t(hi), 1);
+    for (std::size_t li = lo; li < hi; ++li) {
+      in1[li] = 1;
+      nnz1 += A.row_ptr[ck.ext[li] + 1] - A.row_ptr[ck.ext[li]];
+    }
   }
+  ck.lcols.reserve(nnz1);
+  ck.lvals.reserve(nnz1);
   ck.lrp.assign(len + 1, 0);
   for (std::size_t li = 0; li < len; ++li) {
     const std::size_t i = ck.ext[li];
     const std::size_t qend = in1[li] ? A.row_ptr[i + 1] : A.row_ptr[i];
     for (std::size_t q = A.row_ptr[i]; q < qend; ++q) {
       const std::size_t j = A.col_idx[q];
-      const std::size_t lj = j >= base && j - base < loc.size()
-                                 ? loc[j - base]
-                                 : std::size_t(-1);
-      if (lj == std::size_t(-1)) {
+      const std::size_t jz = j / plane, jy = (j - jz * plane) / nx;
+      const std::size_t jx = j - jz * plane - jy * nx;
+      if (jx < ebox.x0 || jx >= ebox.x1 || jy < ebox.y0 || jy >= ebox.y1 ||
+          jz < ebox.z0 || jz >= ebox.z1) {
         throw std::invalid_argument(
             "dist::ca_cg: matrix entries reach beyond the partition's "
             "stencil radius");
       }
-      ck.lcols.push_back(lj);
+      ck.lcols.push_back(((jz - ebox.z0) * ebox.dy() + (jy - ebox.y0)) *
+                             ebox.dx() +
+                         (jx - ebox.x0));
       ck.lvals.push_back(A.values[q]);
     }
     ck.lrp[li + 1] = ck.lcols.size();
