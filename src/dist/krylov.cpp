@@ -8,6 +8,7 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -85,10 +86,10 @@ std::vector<NodeBox> stream_chunks(const Partition& part, const NodeBox& o,
 }
 
 /// The partition a solve runs on, plus its ghost and allreduce
-/// plumbing.  Partial dot products are combined in rank order on the
-/// calling thread (deterministic under every backend, and exactly the
-/// full-range sum when P = 1, which is what pins the P = 1 runs
-/// bitwise-equal to the shared-memory solvers).
+/// plumbing.  The solvers combine per-rank partial dot products in
+/// rank order on the calling thread (deterministic under every
+/// backend, and exactly the full-range sum when P = 1, which is what
+/// pins the P = 1 runs bitwise-equal to the shared-memory solvers).
 ///
 /// Every rank's owned rows are flattened into ascending [lo, hi)
 /// global-row runs once here -- from the box geometry for the mesh
@@ -107,12 +108,10 @@ struct PartRun {
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> runs;
   std::vector<std::size_t> own_sz;
   std::vector<std::size_t> own_nnz;  // A-words of the owned rows
-  std::vector<double> partial;
 
   PartRun(Machine& mm, const sparse::Csr& a, const Partition& pt)
       : m(mm), A(a), part(pt), gp(pt.graph()), P(pt.ranks()),
-        group(pt.group()), own(P), runs(P), own_sz(P), own_nnz(P),
-        partial(P, 0.0) {
+        group(pt.group()), own(P), runs(P), own_sz(P), own_nnz(P) {
     if (pt.ranks() != mm.nprocs()) {
       throw std::invalid_argument(
           "dist: partition rank count differs from the machine's P");
@@ -168,15 +167,6 @@ struct PartRun {
   void allreduce_charge(std::size_t words, const double* payload = nullptr) {
     m.reduce(group, words, payload);
     m.bcast(group, words, payload);
-  }
-
-  /// Combine the per-rank partials and charge a one-word allreduce
-  /// that carries the combined scalar.
-  double allreduce(const std::vector<double>& part_sums) {
-    double sum = 0.0;
-    for (std::size_t p = 0; p < P; ++p) sum += part_sums[p];
-    allreduce_charge(1, &sum);
-    return sum;
   }
 };
 
@@ -498,7 +488,7 @@ void store_lanes(double* p, const V& v) {
 /// and add -- the single-RHS arithmetic, lane by lane.
 void advance_rows(const BasisChunk& ck, std::size_t level, std::size_t na,
                   const double* fc, double* tc, double theta, double sigma) {
-  if (na == 1) {  // the single-RHS solver: a plain row loop is faster
+  if (na == 1) {  // one RHS: a plain row loop is faster
     for (const auto& [llo, lhi] : ck.lvl[level - 1]) {
       for (std::size_t li = llo; li < lhi; ++li) {
         double t = 0;
@@ -540,23 +530,18 @@ void advance_rows(const BasisChunk& ck, std::size_t level, std::size_t na,
 /// @p ck -- heads gathered over the extent, then s p-chain and s-1
 /// r-chain levels, one pass over each row serving every RHS.  Returns
 /// the A-words the caller charges as slow reads (once per build,
-/// whatever na).  With @p reuse the buffers are recycled (never read
+/// whatever na).  The buffers are recycled across builds (never read
 /// before being written: heads cover the whole extent, and Gram and
 /// recovery only read target rows, valid in every column).
 std::uint64_t build_basis(const BasisChunk& ck, const kd::BasisCoeffs& bc,
                           std::size_t s, std::span<const double* const> pv,
-                          std::span<const double* const> rv, Panels& W,
-                          bool reuse) {
+                          std::span<const double* const> rv, Panels& W) {
   const std::size_t mm = 2 * s + 1;
   const std::size_t na = pv.size();
   const std::size_t len = ck.ext.size();
   W.na = na;
-  if (reuse) {
-    W.col.resize(mm);
-    for (auto& c : W.col) c.resize(len * na);
-  } else {
-    W.col.assign(mm, std::vector<double>(len * na, 0.0));
-  }
+  W.col.resize(mm);
+  for (auto& c : W.col) c.resize(len * na);
   for (std::size_t li = 0; li < len; ++li) {
     const std::size_t i = ck.ext[li];
     for (std::size_t k = 0; k < na; ++k) {
@@ -722,7 +707,7 @@ void basis_gram_phase(PartRun& rp, const BasisPlan& plan, CaCgMode mode,
                       std::span<const double* const> pv,
                       std::span<const double* const> rv,
                       std::vector<Panels>& V,
-                      std::vector<std::vector<double>>& g, bool reuse) {
+                      std::vector<std::vector<double>>& g) {
   Machine& m = rp.m;
   const std::size_t mm = 2 * s + 1;
   const std::uint64_t na = pv.size();
@@ -737,7 +722,7 @@ void basis_gram_phase(PartRun& rp, const BasisPlan& plan, CaCgMode mode,
     if (mode == CaCgMode::kStored) {
       Panels& W = V[rank];
       const BasisChunk& ck = plan[rank][0];
-      const std::uint64_t a_words = build_basis(ck, bc, s, pv, rv, W, reuse);
+      const std::uint64_t a_words = build_basis(ck, bc, s, pv, rv, W);
       detail::charge_l3_read(h, na * 2 * osz, m.M2());
       detail::charge_l3_write(h, na * 2 * osz, m.M2());  // basis heads
       detail::charge_l3_read(h, a_words, m.M2());        // A, shared
@@ -750,7 +735,7 @@ void basis_gram_phase(PartRun& rp, const BasisPlan& plan, CaCgMode mode,
     }
     Panels& W = V[rank];
     for (const BasisChunk& ck : plan[rank]) {
-      const std::uint64_t a_words = build_basis(ck, bc, s, pv, rv, W, reuse);
+      const std::uint64_t a_words = build_basis(ck, bc, s, pv, rv, W);
       // Slow-memory reads: the extent's overlap with the rank's owned
       // rows (ghost rows arrived by network).
       detail::charge_l3_read(h, na * 2 * ck.overlap, m.M2());
@@ -770,8 +755,7 @@ void recover_phase(PartRun& rp, const BasisPlan& plan, CaCgMode mode,
                    const kd::BasisCoeffs& bc, std::size_t s,
                    std::span<const double* const> pv,
                    std::span<const double* const> rv,
-                   std::vector<Panels>& V, std::span<const RecoverRhs> rhs,
-                   bool reuse) {
+                   std::vector<Panels>& V, std::span<const RecoverRhs> rhs) {
   Machine& m = rp.m;
   const std::size_t mm = 2 * s + 1;
   const std::uint64_t nr = rhs.size();
@@ -786,7 +770,7 @@ void recover_phase(PartRun& rp, const BasisPlan& plan, CaCgMode mode,
     }
     Panels& W = V[rank];
     for (const BasisChunk& ck : plan[rank]) {
-      const std::uint64_t a_words = build_basis(ck, bc, s, pv, rv, W, reuse);
+      const std::uint64_t a_words = build_basis(ck, bc, s, pv, rv, W);
       detail::charge_l3_read(h, nr * 2 * ck.overlap, m.M2());
       detail::charge_l3_read(h, a_words, m.M2());  // A, shared
       recover(ck, mm, W, rhs);
@@ -796,367 +780,52 @@ void recover_phase(PartRun& rp, const BasisPlan& plan, CaCgMode mode,
   });
 }
 
-/// Shared solve setup: ghost exchange of x, per-rank r = b - A x and
-/// p = r (charged at the shared-memory rates), delta = <r, r> via
-/// allreduce, and <b, b> for the stopping threshold (rank-ordered but
-/// uncharged reads, matching the shared-memory solvers).
-struct SetupResult {
-  double delta;
-  double bb;
-};
-
-SetupResult residual_setup(PartRun& rp,
-                           const std::vector<HaloTransfer>& halo1,
-                           const std::vector<std::size_t>& recv1,
-                           std::span<const double> b, std::span<double> x,
-                           std::vector<double>& r, std::vector<double>& p,
-                           std::vector<double>& w) {
-  Machine& m = rp.m;
-  const sparse::Csr& A = rp.A;
-
-  rp.exchange(halo1, 1);
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        w[i] = kd::row_dot(A, i, x.data(), 0);
-      }
-    });
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        r[i] = b[i] - w[i];
-        p[i] = r[i];
-      }
-    });
-    detail::charge_l2_transit(h, recv1[rank], m.M2(), 0);
-    detail::charge_l3_read(h, rp.own_nnz[rank] + 3 * rp.own_sz[rank],
-                           m.M2());
-    detail::charge_l3_write(h, 2 * rp.own_sz[rank], m.M2());
-  });
-
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    double sum = 0.0;
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) sum += r[i] * r[i];
-    });
-    rp.partial[rank] = sum;
-    detail::charge_l3_read(h, 2 * rp.own_sz[rank], m.M2());
-  });
-  const double delta = rp.allreduce(rp.partial);
-
-  double bb = 0.0;
-  for (std::size_t q = 0; q < rp.P; ++q) {
-    double sum = 0.0;
-    rp.for_runs(q, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) sum += b[i] * b[i];
-    });
-    bb += sum;
-  }
-  rp.allreduce_charge(1, &bb);
-  return {delta, bb};
-}
-
-/// One classical CG step on the partition, charged at the classical
-/// per-step rates (reads A + O(n)/P, writes 4n/P per rank).
-/// @p check_den mirrors the caller: krylov::cg runs the division
-/// unconditionally, the CA-CG restart fallback bails on breakdown.
-struct StepResult {
-  double delta;
-  bool breakdown;
-};
-
-StepResult cg_step(PartRun& rp, const std::vector<HaloTransfer>& halo1,
-                   const std::vector<std::size_t>& recv1,
-                   std::span<double> x, std::vector<double>& r,
-                   std::vector<double>& p, std::vector<double>& w,
-                   double delta, bool check_den) {
-  Machine& m = rp.m;
-  const sparse::Csr& A = rp.A;
-
-  rp.exchange(halo1, 1);  // p ghosts for the spmv
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    double sum = 0.0;
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        w[i] = kd::row_dot(A, i, p.data(), 0);
-      }
-    });
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) sum += p[i] * w[i];
-    });
-    rp.partial[rank] = sum;
-    detail::charge_l2_transit(h, recv1[rank], m.M2(), 0);
-    detail::charge_l3_read(h, rp.own_nnz[rank] + 3 * rp.own_sz[rank],
-                           m.M2());
-    detail::charge_l3_write(h, rp.own_sz[rank], m.M2());  // w
-  });
-  const double den = rp.allreduce(rp.partial);
-  if (check_den && (den <= 0 || !std::isfinite(den))) {
-    return {delta, true};
-  }
-  const double alpha = delta / den;
-
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    double sum = 0.0;
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) x[i] += alpha * p[i];
-      for (std::size_t i = lo; i < hi; ++i) r[i] -= alpha * w[i];
-      for (std::size_t i = lo; i < hi; ++i) sum += r[i] * r[i];
-    });
-    rp.partial[rank] = sum;
-    detail::charge_l3_read(h, 6 * rp.own_sz[rank], m.M2());
-    detail::charge_l3_write(h, 2 * rp.own_sz[rank], m.M2());  // x, r
-  });
-  const double delta_new = rp.allreduce(rp.partial);
-  const double beta = delta_new / delta;
-
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        p[i] = r[i] + beta * p[i];
-      }
-    });
-    detail::charge_l3_read(h, 2 * rp.own_sz[rank], m.M2());
-    detail::charge_l3_write(h, rp.own_sz[rank], m.M2());  // p
-  });
-  return {delta_new, false};
-}
-
 /// Uncharged diagnostic shared with the shared-memory solvers: the
-/// true residual of the final iterate, computed globally.
-double true_residual(const sparse::Csr& A, std::span<const double> b,
-                     std::span<const double> x) {
-  std::vector<double> ax(A.n);
-  sparse::spmv(A, x, ax);
-  double rn = 0;
-  for (std::size_t i = 0; i < A.n; ++i) {
-    const double d = b[i] - ax[i];
-    rn += d * d;
-  }
-  return std::sqrt(rn);
-}
-
-}  // namespace
-
-KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
-                std::span<const double> b, std::span<double> x,
-                std::size_t max_iters, double tol) {
+/// true residual of each RHS's final iterate, computed globally.  An
+/// RHS the stopping test did not mark converged still counts as
+/// converged when that residual is finite and at most
+/// tol * ||b|| * @p slack.
+void final_residuals(const sparse::Csr& A, std::span<const double> B,
+                     std::span<const double> X, double tol, double slack,
+                     KrylovBatchResult& out) {
   const std::size_t n = A.n;
-  if (b.size() != n || x.size() != n) {
-    throw std::invalid_argument("dist::cg: size mismatch");
-  }
-  PartRun rp(m, A, part);
-  const auto halo1 = part.halo(part.radius());
-  const auto recv1 = recv_rows(halo1, rp.P);
-
-  KrylovResult out;
-  std::vector<double> r(n), p(n), w(n);
-
-  const SetupResult init = residual_setup(rp, halo1, recv1, b, x, r, p, w);
-  double delta = init.delta;
-  const double stop = tol * tol * init.bb;
-
-  for (std::size_t it = 0; it < max_iters; ++it) {
-    if (delta <= stop) {
-      out.converged = true;
-      break;
+  std::vector<double> ax(n);
+  for (std::size_t j = 0; j < out.rhs.size(); ++j) {
+    const auto bj = B.subspan(j * n, n);
+    sparse::spmv(A, X.subspan(j * n, n), ax);
+    double rn = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = bj[i] - ax[i];
+      rn += d * d;
     }
-    delta = cg_step(rp, halo1, recv1, x, r, p, w, delta,
-                    /*check_den=*/false)
-                .delta;
-    ++out.iterations;
+    KrylovResult& res = out.rhs[j];
+    res.residual_norm = std::sqrt(rn);
+    if (!res.converged) {
+      res.converged = std::isfinite(res.residual_norm) &&
+                      res.residual_norm <= tol * sparse::norm2(bj) * slack;
+    }
   }
-
-  out.residual_norm = true_residual(A, b, x);
-  if (!out.converged) {
-    out.converged = out.residual_norm <= tol * sparse::norm2(b);
-  }
-  return out;
 }
 
-KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
-                   std::span<const double> b, std::span<double> x,
-                   const CaCgOptions& opt, const KrylovExec& exec) {
-  const std::size_t n = A.n;
-  const std::size_t s = opt.s;
-  if (s == 0) throw std::invalid_argument("dist::ca_cg: s >= 1");
-  if (b.size() != n || x.size() != n) {
-    throw std::invalid_argument("dist::ca_cg: size mismatch");
-  }
-  const std::size_t mm = 2 * s + 1;
-  const kd::BasisCoeffs bc =
-      kd::make_basis(A, s, opt.basis == CaCgBasis::kNewton);
-
-  PartRun rp(m, A, part);
-  const std::size_t P = rp.P;
-  const std::size_t ext = s * part.radius();
-  std::size_t block_rows = opt.block_rows;
-  if (block_rows == 0) {
-    block_rows = std::max<std::size_t>(4 * s * part.radius(), 256);
-  }
-  const auto halo1 = part.halo(part.radius());
-  const auto recv1 = recv_rows(halo1, P);
-  const auto halo_s = part.halo(ext);
-  const auto recv_s = recv_rows(halo_s, P);
-
-  KrylovResult out;
-  std::vector<double> r(n), p(n), w(n);
-
-  const SetupResult init = residual_setup(rp, halo1, recv1, b, x, r, p, w);
-  double delta = init.delta;
-  const double stop = opt.tol * opt.tol * init.bb;
-
-  std::size_t restarts = 0;
-  constexpr std::size_t kMaxRestarts = 25;
-
-  // Rollback state of an outer iteration.  Streaming recovers into
-  // pn, rn and swaps, so the swapped-out buffers hold the entry p, r
-  // and no copy is needed; stored recovery overwrites p, r in place.
-  const bool stored = opt.mode == CaCgMode::kStored;
-  std::vector<double> x_snap(n), p_snap, r_snap;
-  std::vector<double> pn(n), rn(n);  // streaming recovery targets
-
-  // Per-rank scratch living across the basis and recovery phases of
-  // one outer iteration (and, with exec.reuse_scratch, across outer
-  // iterations and streaming blocks): the rank's basis panels and its
-  // Gram partial.  Indexed by rank, so concurrent phases touch
-  // disjoint slots.
-  std::vector<Panels> V(P);
-  std::vector<std::vector<double>> gpart(P);
-  const BasisPlan plan = make_basis_plan(rp, s, opt.mode, block_rows);
-
-  for (std::size_t outer = 0; outer < opt.max_outer; ++outer) {
-    if (delta <= stop) {
-      out.converged = true;
-      break;
-    }
-    const double delta_enter = delta;
-    x_snap.assign(x.begin(), x.end());
-    if (stored) {
-      p_snap = p;
-      r_snap = r;
-    }
-    // Taken per outer: streaming swaps p, r with pn, rn.
-    const std::array<const double*, 1> pv{p.data()}, rv{r.data()};
-
-    // One ghost exchange of depth s*radius covers every basis column
-    // of the outer iteration (the matrix-powers optimization).
-    rp.exchange(halo_s, 2);  // p and r travel together
-    basis_gram_phase(rp, plan, opt.mode, bc, s, recv_s, pv, rv, V, gpart,
-                     exec.reuse_scratch);
-
-    // Allreduce of the Gram partials: combined in rank order, charged
-    // as reduce + bcast of the upper triangle.
-    kd::Small G(mm);
-    for (std::size_t q = 0; q < P; ++q) {
-      for (std::size_t a = 0; a < mm; ++a) {
-        for (std::size_t c = a; c < mm; ++c) G(a, c) += gpart[q][a * mm + c];
-      }
-    }
-    linalg::gram_mirror(G.a.data(), mm);
-    // The combined Gram matrix is in hand; its packed triangle rides
-    // the charged allreduce as the real payload.
-    rp.allreduce_charge(mm * (mm + 1) / 2, G.a.data());
-
-    // ---- inner s steps in coordinates: O(s^2) data, replicated on
-    // every rank (fast memory only, so nothing is charged).
-    std::vector<double> xh(mm, 0.0), ph(mm, 0.0), rh(mm, 0.0);
-    ph[0] = 1.0;
-    rh[s + 1] = 1.0;
-    krylov::Traffic fast;  // inner-step flops; no slow channel to charge
-    const auto inner = kd::inner_steps(s, bc, G, xh, ph, rh, delta, fast);
-    if (inner.breakdown) break;
-    out.iterations += s;
-
-    // ---- recovery: [p, r, x] = [P, R] [ph, rh, xh] + [0, 0, x].
-    // Streaming rebuilds from p and r, so it recovers into pn, rn.
-    const std::array<RecoverRhs, 1> rec{RecoverRhs{
-        0, ph.data(), rh.data(), xh.data(), x.data(),
-        stored ? p.data() : pn.data(), stored ? r.data() : rn.data()}};
-    recover_phase(rp, plan, opt.mode, bc, s, pv, rv, V, rec,
-                  exec.reuse_scratch);
-    if (!stored) {
-      p.swap(pn);
-      r.swap(rn);
-    }
-
-    // Recompute delta from the *recovered* residual; a large
-    // disagreement with the coordinate-space value flags breakdown.
-    m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-      double sum = 0.0;
-      rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) sum += r[i] * r[i];
-      });
-      rp.partial[rank] = sum;
-      detail::charge_l3_read(h, 2 * rp.own_sz[rank], m.M2());
-    });
-    const double delta_true = rp.allreduce(rp.partial);
-
-    if (!std::isfinite(delta_true) || delta_true > 16.0 * delta_enter) {
-      // Basis breakdown: roll back this outer iteration (simulation
-      // bookkeeping, uncharged -- as in the shared-memory solver) and
-      // take the same s steps with distributed classical CG instead.
-      if (++restarts > kMaxRestarts) break;
-      out.iterations -= s;
-      std::copy(x_snap.begin(), x_snap.end(), x.begin());
-      if (stored) {
-        p = p_snap;
-        r = r_snap;
-      } else {
-        p.swap(pn);
-        r.swap(rn);
-      }
-      delta = delta_enter;
-      for (std::size_t j = 0; j < s && delta > stop; ++j) {
-        const StepResult step = cg_step(rp, halo1, recv1, x, r, p, w,
-                                        delta, /*check_den=*/true);
-        if (step.breakdown) break;
-        delta = step.delta;
-        ++out.iterations;
-      }
-      continue;
-    }
-    delta = delta_true;
-  }
-
-  out.residual_norm = true_residual(A, b, x);
-  if (!out.converged) {
-    out.converged = out.residual_norm <= opt.tol * sparse::norm2(b) * 10.0;
-  }
-  return out;
-}
-
-KrylovResult cg(Machine& m, const sparse::Csr& A, std::span<const double> b,
-                std::span<double> x, std::size_t max_iters, double tol) {
-  const auto part = make_partition(m.nprocs(), A);
-  return cg(m, *part, A, b, x, max_iters, tol);
-}
-
-KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
-                   std::span<const double> b, std::span<double> x,
-                   const CaCgOptions& opt) {
-  const auto part = make_partition(m.nprocs(), A);
-  return ca_cg(m, *part, A, b, x, opt);
-}
-
-// ---- batched multi-RHS solvers ------------------------------------------
+// ---- the batched engine --------------------------------------------------
 //
-// The batch keeps nrhs fully independent per-RHS recurrences: every
-// floating-point operation an RHS sees is the one the single-RHS
-// solver would execute, in the same order, so iterates are bitwise-
-// identical for any batch composition and finished/broken-down RHS
-// drop out without perturbing the others.  The CA-CG basis traversal
-// is really shared: build_basis makes one pass over each row of a
-// rank's extent-local A for all active RHS, whose panels are stored
-// RHS-fastest (each output still summed in A's stored column order),
-// so A is read once per basis level per batch, as charged.  Each halo
-// exchange is one event shipping all active panels, and each
-// allreduce is one event combining all active scalars/Grams.  Per-RHS
-// vector words carry an active-count multiplier, so at nrhs == 1
-// every counter is identical to the single-RHS solver's.  (The
-// classical-CG steps, cg_step_batch and residual_setup_batch, still
-// run one SpMV per RHS and share A only in the charging.)
-
-namespace {
+// Every distributed solve runs here: dist::cg and dist::ca_cg are
+// batches of one.  A batch keeps nrhs fully independent per-RHS
+// recurrences: every floating-point operation an RHS sees is the one
+// it would see solved alone, in the same order, so iterates are
+// bitwise-identical for any batch composition and finished, broken-
+// down or non-finite RHS drop out without perturbing the others.  The
+// CA-CG basis traversal is really shared: build_basis makes one pass
+// over each row of a rank's extent-local A for all active RHS, whose
+// panels are stored RHS-fastest (each output still summed in A's
+// stored column order), so A is read once per basis level per batch,
+// as charged.  Each halo exchange is one event shipping all active
+// panels, and each allreduce is one event combining all active
+// scalars/Grams.  Per-RHS vector words carry an active-count
+// multiplier, so the per-solve W12 and halo words stay flat in b
+// while the A stream and messages amortize.  (The classical-CG steps,
+// cg_step_batch and residual_setup_batch, still run one SpMV per RHS
+// and share A only in the charging.)
 
 void check_batch_panels(std::size_t n, std::size_t nrhs, std::size_t bsz,
                         std::size_t xsz, const char* who) {
@@ -1169,11 +838,24 @@ void check_batch_panels(std::size_t n, std::size_t nrhs, std::size_t bsz,
 struct BatchSetupResult {
   std::vector<double> delta;
   std::vector<double> bb;
+
+  /// Whether RHS @p j may take a step.  An Inf or NaN in its b or x
+  /// makes delta or <b, b> non-finite, and then the stopping test
+  /// delta <= tol^2 <b, b> means nothing (Inf <= Inf passes, NaN
+  /// never does), so the solvers retire it unconverged before its
+  /// first step.
+  bool finite(std::size_t j) const {
+    return std::isfinite(delta[j]) && std::isfinite(bb[j]);
+  }
 };
 
-/// Batched residual_setup: one exchange event ships all nrhs x
-/// panels, one A traversal serves every initial residual, and the
-/// nrhs deltas travel in one allreduce event.
+/// Solve setup for every RHS: ghost exchange of the x panels, per-rank
+/// r = b - A x and p = r (charged at the shared-memory rates), delta =
+/// <r, r> via allreduce, and <b, b> for the stopping threshold (rank-
+/// ordered but uncharged reads, matching the shared-memory solvers).
+/// One exchange event ships all nrhs x panels, one A traversal serves
+/// every initial residual, and the nrhs deltas travel in one allreduce
+/// event.
 BatchSetupResult residual_setup_batch(
     PartRun& rp, const std::vector<HaloTransfer>& halo1,
     const std::vector<std::size_t>& recv1, std::span<const double> B,
@@ -1248,13 +930,14 @@ BatchSetupResult residual_setup_batch(
   return out;
 }
 
-/// One batched classical CG step over the RHS set @p act: the phases
-/// and per-RHS charges of cg_step with an active-count multiplier on
-/// the vector words, one exchange event, one A traversal, and one
-/// allreduce event per scalar round.  With @p check_den a non-positive
-/// or non-finite den retires that RHS after phase 1 (marked in
-/// @p broke, no phase 2/3 work or charges, no delta update), exactly
-/// mirroring the single solver's early return.
+/// One classical CG step over the RHS set @p act, charged per RHS at
+/// the classical per-step rates (reads A + O(n)/P, writes w, x, r, p:
+/// 4n/P per rank) with one exchange event, one A traversal, and one
+/// allreduce event per scalar round.  With @p check_den (the CA-CG
+/// restart fallback; classical CG divides unconditionally, like
+/// krylov::cg) a non-positive or non-finite den retires that RHS
+/// after phase 1: marked in @p broke, no phase 2/3 work or charges,
+/// no delta update.
 void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
                    const std::vector<std::size_t>& recv1,
                    std::span<double> X, std::vector<std::vector<double>>& r,
@@ -1370,10 +1053,11 @@ KrylovBatchResult cg_batch(Machine& m, const Partition& part,
   const BatchSetupResult init =
       residual_setup_batch(rp, halo1, recv1, B, X, r, p, w, nrhs);
   std::vector<double> delta = init.delta, stop(nrhs);
+  std::vector<char> done(nrhs, 0);
   for (std::size_t j = 0; j < nrhs; ++j) {
     stop[j] = tol * tol * init.bb[j];
+    done[j] = !init.finite(j);
   }
-  std::vector<char> done(nrhs, 0);
 
   for (std::size_t it = 0; it < max_iters; ++it) {
     std::vector<std::size_t> act;
@@ -1392,22 +1076,14 @@ KrylovBatchResult cg_batch(Machine& m, const Partition& part,
     for (const std::size_t j : act) ++out.rhs[j].iterations;
   }
 
-  for (std::size_t j = 0; j < nrhs; ++j) {
-    const auto bj = B.subspan(j * n, n);
-    out.rhs[j].residual_norm = true_residual(A, bj, X.subspan(j * n, n));
-    if (!out.rhs[j].converged) {
-      out.rhs[j].converged =
-          out.rhs[j].residual_norm <= tol * sparse::norm2(bj);
-    }
-  }
+  final_residuals(A, B, X, tol, 1.0, out);
   return out;
 }
 
 KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
                               const sparse::Csr& A,
                               std::span<const double> B, std::span<double> X,
-                              std::size_t nrhs, const CaCgOptions& opt,
-                              const KrylovExec& exec) {
+                              std::size_t nrhs, const CaCgOptions& opt) {
   const std::size_t n = A.n;
   const std::size_t s = opt.s;
   if (s == 0) throw std::invalid_argument("dist::ca_cg_batch: s >= 1");
@@ -1439,16 +1115,18 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   const BatchSetupResult init =
       residual_setup_batch(rp, halo1, recv1, B, X, r, p, w, nrhs);
   std::vector<double> delta = init.delta, stop(nrhs), delta_enter(nrhs, 0.0);
+  std::vector<char> finished(nrhs, 0);
   for (std::size_t j = 0; j < nrhs; ++j) {
     stop[j] = opt.tol * opt.tol * init.bb[j];
+    finished[j] = !init.finite(j);
   }
 
   std::vector<std::size_t> restarts(nrhs, 0);
   constexpr std::size_t kMaxRestarts = 25;
-  std::vector<char> finished(nrhs, 0);
 
-  // Rollback state, as in ca_cg: streaming's swapped-out pn, rn hold
-  // the entry p, r, so only the stored mode copies them.
+  // Rollback state of an outer iteration: streaming recovers into pn,
+  // rn and swaps, so the swapped-out buffers hold the entry p, r and
+  // only the stored mode (which recovers in place) copies them.
   const bool stored = opt.mode == CaCgMode::kStored;
   std::vector<std::vector<double>> x_snap(nrhs), p_snap(nrhs), r_snap(nrhs);
   std::vector<std::vector<double>> pn(nrhs), rn(nrhs);
@@ -1495,8 +1173,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     // One ghost exchange event per outer iteration ships the p and r
     // panels of every active RHS together; one basis pass serves them.
     rp.exchange(halo_s, 2 * na);
-    basis_gram_phase(rp, plan, opt.mode, bc, s, recv_s, pv, rv, V, gpart,
-                     exec.reuse_scratch);
+    basis_gram_phase(rp, plan, opt.mode, bc, s, recv_s, pv, rv, V, gpart);
 
     // Gram combine per RHS, one allreduce event for all active
     // triangles.
@@ -1556,8 +1233,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
                                stored ? p[j].data() : pn[j].data(),
                                stored ? r[j].data() : rn[j].data()});
     }
-    recover_phase(rp, plan, opt.mode, bc, s, pv2, rv2, V, rec,
-                  exec.reuse_scratch);
+    recover_phase(rp, plan, opt.mode, bc, s, pv2, rv2, V, rec);
     if (!stored) {
       for (const std::size_t j : act2) {
         p[j].swap(pn[j]);
@@ -1625,14 +1301,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     }
   }
 
-  for (std::size_t j = 0; j < nrhs; ++j) {
-    const auto bj = B.subspan(j * n, n);
-    out.rhs[j].residual_norm = true_residual(A, bj, X.subspan(j * n, n));
-    if (!out.rhs[j].converged) {
-      out.rhs[j].converged =
-          out.rhs[j].residual_norm <= opt.tol * sparse::norm2(bj) * 10.0;
-    }
-  }
+  final_residuals(A, B, X, opt.tol, 10.0, out);
   return out;
 }
 
@@ -1650,6 +1319,38 @@ KrylovBatchResult ca_cg_batch(Machine& m, const sparse::Csr& A,
                               const CaCgOptions& opt) {
   const auto part = make_partition(m.nprocs(), A);
   return ca_cg_batch(m, *part, A, B, X, nrhs, opt);
+}
+
+KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
+                std::span<const double> b, std::span<double> x,
+                std::size_t max_iters, double tol) {
+  if (b.size() != A.n || x.size() != A.n) {
+    throw std::invalid_argument("dist::cg: size mismatch");
+  }
+  return cg_batch(m, part, A, b, x, 1, max_iters, tol).rhs[0];
+}
+
+KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
+                   std::span<const double> b, std::span<double> x,
+                   const CaCgOptions& opt) {
+  if (opt.s == 0) throw std::invalid_argument("dist::ca_cg: s >= 1");
+  if (b.size() != A.n || x.size() != A.n) {
+    throw std::invalid_argument("dist::ca_cg: size mismatch");
+  }
+  return ca_cg_batch(m, part, A, b, x, 1, opt).rhs[0];
+}
+
+KrylovResult cg(Machine& m, const sparse::Csr& A, std::span<const double> b,
+                std::span<double> x, std::size_t max_iters, double tol) {
+  const auto part = make_partition(m.nprocs(), A);
+  return cg(m, *part, A, b, x, max_iters, tol);
+}
+
+KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
+                   std::span<const double> b, std::span<double> x,
+                   const CaCgOptions& opt) {
+  const auto part = make_partition(m.nprocs(), A);
+  return ca_cg(m, *part, A, b, x, opt);
 }
 
 }  // namespace wa::dist

@@ -41,9 +41,13 @@
 // i.e. the stored-basis variant stays Theta(n) in total while the
 // streaming variant realizes the paper's Theta(s) write reduction.
 // What the partition changes is the *network* channel: see the
-// halo_words_*_model closed forms below.  On P = 1 both solvers are
-// bitwise-equal to their shared-memory counterparts in src/krylov/
-// (pinned by tests/dist_krylov_test.cpp).
+// halo_words_*_model closed forms below.
+//
+// One batched engine runs every solve: cg_batch / ca_cg_batch solve
+// nrhs right-hand sides together, and the single-RHS cg / ca_cg are
+// batches of one.  On P = 1 every column is bitwise-equal to the
+// shared-memory reference solvers krylov::cg / krylov::ca_cg (pinned
+// by tests/dist_krylov_test.cpp and tests/krylov_batch_test.cpp).
 
 #include <algorithm>
 #include <cmath>
@@ -75,17 +79,9 @@ struct KrylovBatchResult {
   std::vector<KrylovResult> rhs;
 };
 
-/// Execution tuning of the distributed solvers (numerics and counters
-/// are invariant under every setting).
-struct KrylovExec {
-  /// Reuse each rank's basis scratch across outer iterations and
-  /// streaming blocks instead of reallocating 2s+1 columns per block
-  /// (the PR 4 behavior, kept for the bench's wall-clock comparison).
-  bool reuse_scratch = true;
-};
-
 /// Distributed classical CG (Algorithm 6) on an explicit partition:
 /// partitioned spmv with radius-deep ghost exchanges, allreduce dots.
+/// A batch of one (cg_batch with nrhs == 1).
 KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
                 std::span<const double> b, std::span<double> x,
                 std::size_t max_iters, double tol);
@@ -93,10 +89,10 @@ KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
 /// Distributed s-step CA-CG (Algorithm 7 / §8) on an explicit
 /// partition, kStored or kStreaming, monomial or Newton basis --
 /// semantics of the options match the shared-memory krylov::ca_cg.
+/// A batch of one (ca_cg_batch with nrhs == 1).
 KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
                    std::span<const double> b, std::span<double> x,
-                   const krylov::CaCgOptions& opt,
-                   const KrylovExec& exec = {});
+                   const krylov::CaCgOptions& opt);
 
 /// Convenience front doors: partition chosen from the matrix geometry
 /// (make_partition kAuto -- 2-D blocks for mesh-generated matrices,
@@ -108,19 +104,22 @@ KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
                    const krylov::CaCgOptions& opt);
 
 /// Batched multi-RHS distributed solvers on column-major n x nrhs
-/// panels (RHS j occupies [j*n, (j+1)*n) of B and X).  The b per-RHS
-/// recurrences are fully independent -- every RHS's arithmetic is
-/// bitwise-identical to the single-RHS solver's, and finished systems
-/// drop out without perturbing the others' bits -- but the *shared*
-/// costs are paid once per batch: one traversal of A per basis level
-/// (or SpMV), one ghost-exchange event per outer iteration shipping
-/// all active panels together, and one allreduce event combining all
-/// active Gram matrices / dot products.  The CA-CG basis traversal is
-/// shared in execution too: one fused matrix-powers pass over each
-/// row of a rank's extent serves every active RHS (the classical-CG
-/// SpMVs still run per RHS).  Per-RHS vector words are charged per
-/// RHS, so at nrhs == 1 every counter reduces exactly to the
-/// single-RHS solver's.
+/// panels (RHS j occupies [j*n, (j+1)*n) of B and X) -- the engine
+/// behind every distributed solve.  The b per-RHS recurrences are
+/// fully independent -- every column's bits equal a batch-of-one
+/// solve of it, and finished systems drop out without perturbing the
+/// others' bits -- but the *shared* costs are paid once per batch:
+/// one traversal of A per basis level (or SpMV), one ghost-exchange
+/// event per outer iteration shipping all active panels together,
+/// and one allreduce event combining all active Gram matrices / dot
+/// products.  The CA-CG basis traversal is shared in execution too:
+/// one fused matrix-powers pass over each row of a rank's extent
+/// serves every active RHS (the classical-CG SpMVs still run per
+/// RHS).  Per-RHS vector words are charged per RHS (see the
+/// amortization models below).  An RHS whose setup residual or ||b||
+/// is not finite (an Inf or NaN in b or x) retires before its first
+/// step with converged == false and iterations == 0, and no RHS
+/// reports convergence on a non-finite residual.
 KrylovBatchResult cg_batch(Machine& m, const Partition& part,
                            const sparse::Csr& A, std::span<const double> B,
                            std::span<double> X, std::size_t nrhs,
@@ -129,8 +128,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
                               const sparse::Csr& A,
                               std::span<const double> B, std::span<double> X,
                               std::size_t nrhs,
-                              const krylov::CaCgOptions& opt,
-                              const KrylovExec& exec = {});
+                              const krylov::CaCgOptions& opt);
 KrylovBatchResult cg_batch(Machine& m, const sparse::Csr& A,
                            std::span<const double> B, std::span<double> X,
                            std::size_t nrhs, std::size_t max_iters,

@@ -36,7 +36,11 @@ SolveResult ca_cg(const sparse::Csr& A, std::span<const double> b,
 
   double delta = sparse::dot(r, r);
   out.traffic.slow_reads += 2 * n;
-  const double stop = opt.tol * opt.tol * sparse::dot(b, b);
+  const double bb = sparse::dot(b, b);
+  const double stop = opt.tol * opt.tol * bb;
+  // A non-finite delta or <b, b> (an Inf or NaN in b or x) retires the
+  // solve unconverged before its first step, as in cg.
+  const bool finite = std::isfinite(delta) && std::isfinite(bb);
 
   const std::size_t bw = std::max<std::size_t>(1, A.bandwidth());
   std::size_t block_rows = opt.block_rows;
@@ -53,7 +57,7 @@ SolveResult ca_cg(const sparse::Csr& A, std::span<const double> b,
 
   std::vector<double> x_snap(n), p_snap(n), r_snap(n);
 
-  for (std::size_t outer = 0; outer < opt.max_outer; ++outer) {
+  for (std::size_t outer = 0; finite && outer < opt.max_outer; ++outer) {
     if (delta <= stop) {
       out.converged = true;
       break;
@@ -291,7 +295,8 @@ SolveResult ca_cg(const sparse::Csr& A, std::span<const double> b,
   }
   out.residual_norm = std::sqrt(rnrm);
   if (!out.converged) {
-    out.converged = out.residual_norm <= opt.tol * sparse::norm2(b) * 10.0;
+    out.converged = std::isfinite(out.residual_norm) &&
+                    out.residual_norm <= opt.tol * sparse::norm2(b) * 10.0;
   }
   return out;
 }

@@ -23,9 +23,14 @@ SolveResult cg(const sparse::Csr& A, std::span<const double> b,
 
   double delta = sparse::dot(r, r);
   out.traffic.slow_reads += 2 * n;
-  const double stop = tol * tol * sparse::dot(b, b);
+  const double bb = sparse::dot(b, b);
+  const double stop = tol * tol * bb;
+  // An Inf or NaN in b or x makes delta or <b, b> non-finite, and then
+  // the stopping test means nothing (Inf <= Inf passes, NaN never
+  // does): retire unconverged before the first step.
+  const bool finite = std::isfinite(delta) && std::isfinite(bb);
 
-  for (std::size_t it = 0; it < max_iters; ++it) {
+  for (std::size_t it = 0; finite && it < max_iters; ++it) {
     if (delta <= stop) {
       out.converged = true;
       break;
@@ -69,7 +74,8 @@ SolveResult cg(const sparse::Csr& A, std::span<const double> b,
   }
   out.residual_norm = std::sqrt(rn);
   if (!out.converged) {
-    out.converged = out.residual_norm <= tol * sparse::norm2(b);
+    out.converged = std::isfinite(out.residual_norm) &&
+                    out.residual_norm <= tol * sparse::norm2(b);
   }
   return out;
 }

@@ -510,33 +510,6 @@ TEST(Partition2D, P1BitwiseEqualSharedMemory) {
   }
 }
 
-TEST(Partition2D, ScratchReuseIsBitwiseAndCounterInvariant) {
-  const auto prob = make_problem_2d(sparse::stencil_2d(20, 13, 1), 59);
-  CaCgOptions opt;
-  opt.s = 4;
-  opt.tol = 1e-9;
-  opt.mode = CaCgMode::kStreaming;
-  for (std::size_t P : {4, 6}) {
-    const auto part = make_partition(P, prob.A);
-    Machine m_reuse = make_machine(P);
-    std::vector<double> x_reuse(prob.A.n, 0.0);
-    dist::ca_cg(m_reuse, *part, prob.A, prob.b, x_reuse, opt,
-                KrylovExec{.reuse_scratch = true});
-    Machine m_fresh = make_machine(P);
-    std::vector<double> x_fresh(prob.A.n, 0.0);
-    dist::ca_cg(m_fresh, *part, prob.A, prob.b, x_fresh, opt,
-                KrylovExec{.reuse_scratch = false});
-    EXPECT_EQ(std::memcmp(x_reuse.data(), x_fresh.data(),
-                          prob.A.n * sizeof(double)),
-              0);
-    for (std::size_t p = 0; p < P; ++p) {
-      EXPECT_EQ(m_reuse.proc(p).l3_write.words,
-                m_fresh.proc(p).l3_write.words);
-      EXPECT_EQ(m_reuse.proc(p).nw.words, m_fresh.proc(p).nw.words);
-    }
-  }
-}
-
 // ---- P = 1 bitwise equality with the shared-memory solvers --------------
 
 TEST(DistCg, BitwiseEqualSharedMemoryOnP1) {

@@ -1,15 +1,18 @@
-// Batched multi-RHS CG / CA-CG (krylov/batch.hpp, dist/krylov.hpp):
-// the b = 1 batch is bitwise-identical to the single-RHS solvers --
-// iterates AND traffic counters -- per-RHS early exit leaves the
-// remaining iterates bitwise-unchanged, the batched distributed path
-// is backend-invariant, and the b-sweep counters match the closed-
-// form amortization models: A-words and network messages per solve
-// fall as 1/b while the per-RHS W12 and halo-word channels stay flat.
+// The batched distributed CG / CA-CG engine (dist/krylov.hpp), which
+// also runs every single-RHS dist::cg / dist::ca_cg as a batch of one:
+// at P = 1 each column is bitwise-identical to the shared-memory
+// reference solvers, a batch's columns equal batch-of-one solves,
+// per-RHS early exit (converged, zero or non-finite right-hand sides)
+// leaves the remaining iterates bitwise-unchanged, the path is
+// backend-invariant, and the b-sweep counters match the closed-form
+// amortization models: A-words and network messages per solve fall
+// as 1/b while the per-RHS W12 and halo-word channels stay flat.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -20,7 +23,6 @@
 #include "dist/machine.hpp"
 #include "dist/partition.hpp"
 #include "dist/planner.hpp"
-#include "krylov/batch.hpp"
 #include "krylov/cacg.hpp"
 #include "krylov/cg.hpp"
 #include "sparse/csr.hpp"
@@ -58,114 +60,7 @@ bool bits_equal(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// ---- shared-memory batch: b = 1 reduces exactly -------------------------
-
-TEST(SharedBatch, CgB1BitwiseEqualSingle) {
-  const auto A = sparse::stencil_1d(384, 2);
-  const auto B = panel_for(A, 1, 11);
-  std::vector<double> xs(A.n, 0.0), xb(A.n, 0.0);
-
-  const auto solo = krylov::cg(A, B, xs, 200, 1e-10);
-  const auto batch = krylov::cg_batch(A, B, xb, 1, 200, 1e-10);
-
-  ASSERT_EQ(batch.rhs.size(), 1u);
-  EXPECT_TRUE(bits_equal(xs, xb));
-  EXPECT_EQ(solo.iterations, batch.rhs[0].iterations);
-  EXPECT_EQ(solo.converged, batch.rhs[0].converged);
-  EXPECT_EQ(solo.residual_norm, batch.rhs[0].residual_norm);
-  EXPECT_EQ(solo.traffic.slow_reads, batch.traffic.slow_reads);
-  EXPECT_EQ(solo.traffic.slow_writes, batch.traffic.slow_writes);
-  EXPECT_EQ(solo.traffic.flops, batch.traffic.flops);
-}
-
-TEST(SharedBatch, CaCgB1BitwiseEqualSingle) {
-  const auto A = sparse::stencil_1d(384, 1);
-  const auto B = panel_for(A, 1, 7);
-  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
-    for (auto basis : {CaCgBasis::kMonomial, CaCgBasis::kNewton}) {
-      CaCgOptions opt;
-      opt.s = 4;
-      opt.tol = 1e-10;
-      opt.mode = mode;
-      opt.basis = basis;
-      std::vector<double> xs(A.n, 0.0), xb(A.n, 0.0);
-
-      const auto solo = krylov::ca_cg(A, B, xs, opt);
-      const auto batch = krylov::ca_cg_batch(A, B, xb, 1, opt);
-
-      ASSERT_EQ(batch.rhs.size(), 1u);
-      EXPECT_TRUE(bits_equal(xs, xb))
-          << "mode=" << int(mode) << " basis=" << int(basis);
-      EXPECT_EQ(solo.iterations, batch.rhs[0].iterations);
-      EXPECT_EQ(solo.converged, batch.rhs[0].converged);
-      EXPECT_EQ(solo.traffic.slow_reads, batch.traffic.slow_reads);
-      EXPECT_EQ(solo.traffic.slow_writes, batch.traffic.slow_writes);
-      EXPECT_EQ(solo.traffic.flops, batch.traffic.flops);
-    }
-  }
-}
-
-// ---- per-RHS early exit perturbs nothing --------------------------------
-
-TEST(SharedBatch, EarlyExitLeavesOthersBitwise) {
-  // RHS 0 is identically zero: it converges before the first
-  // iteration and drops out of the batch, while RHS 1 runs the full
-  // solve.  Independence means RHS 1's iterate is bitwise-equal to a
-  // solo solve at every point after the dropout.
-  const auto A = sparse::stencil_1d(384, 1);
-  const std::size_t n = A.n;
-  const auto hard = panel_for(A, 1, 23);
-  std::vector<double> B(2 * n, 0.0);
-  std::copy(hard.begin(), hard.end(), B.begin() + std::ptrdiff_t(n));
-
-  {
-    std::vector<double> xs(n, 0.0), xb(2 * n, 0.0);
-    const auto solo = krylov::cg(A, hard, xs, 200, 1e-10);
-    const auto batch = krylov::cg_batch(A, B, xb, 2, 200, 1e-10);
-    EXPECT_TRUE(batch.rhs[0].converged);
-    EXPECT_EQ(batch.rhs[0].iterations, 0u);
-    EXPECT_EQ(solo.iterations, batch.rhs[1].iterations);
-    EXPECT_TRUE(bits_equal(xs, std::span<const double>(xb).subspan(n, n)));
-  }
-  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
-    CaCgOptions opt;
-    opt.s = 4;
-    opt.tol = 1e-10;
-    opt.mode = mode;
-    std::vector<double> xs(n, 0.0), xb(2 * n, 0.0);
-    const auto solo = krylov::ca_cg(A, hard, xs, opt);
-    const auto batch = krylov::ca_cg_batch(A, B, xb, 2, opt);
-    EXPECT_TRUE(batch.rhs[0].converged);
-    EXPECT_EQ(batch.rhs[0].iterations, 0u);
-    EXPECT_EQ(solo.iterations, batch.rhs[1].iterations);
-    EXPECT_TRUE(bits_equal(xs, std::span<const double>(xb).subspan(n, n)));
-  }
-}
-
-TEST(SharedBatch, SharesTheMatrixStream) {
-  // The whole point: four solves in one batch read A once per
-  // traversal, so batch reads sit well below four solo solves.
-  const auto A = sparse::stencil_1d(1024, 1);
-  const std::size_t nrhs = 4;
-  const auto B = panel_for(A, nrhs, 31);
-  CaCgOptions opt;
-  opt.s = 4;
-  opt.tol = 1e-10;
-
-  std::uint64_t solo_reads = 0;
-  for (std::size_t j = 0; j < nrhs; ++j) {
-    std::vector<double> x(A.n, 0.0);
-    solo_reads +=
-        krylov::ca_cg(A, std::span<const double>(B).subspan(j * A.n, A.n), x,
-                      opt)
-            .traffic.slow_reads;
-  }
-  std::vector<double> X(A.n * nrhs, 0.0);
-  const auto batch = krylov::ca_cg_batch(A, B, X, nrhs, opt);
-  EXPECT_LT(double(batch.traffic.slow_reads), 0.75 * double(solo_reads));
-}
-
-// ---- distributed batch: b = 1 reduces exactly, bits and counters --------
+// ---- the distributed batch: bits and counters ---------------------------
 
 void expect_counters_equal(const dist::Machine& a, const dist::Machine& b) {
   ASSERT_EQ(a.nprocs(), b.nprocs());
@@ -185,75 +80,97 @@ void expect_counters_equal(const dist::Machine& a, const dist::Machine& b) {
   }
 }
 
-TEST(DistBatch, B1BitwiseEqualSingle) {
+TEST(DistBatch, P1ColumnsBitwiseEqualSharedMemory) {
+  // At P = 1 every column of a batch is bitwise-equal to the shared-
+  // memory reference solver run on that column alone.
   const auto A = sparse::stencil_1d(130, 1);
-  const auto B = panel_for(A, 1, 5);
-  for (std::size_t P : {std::size_t(1), std::size_t(4), std::size_t(6)}) {
-    {
-      dist::Machine ms = make_machine(P), mb = make_machine(P);
-      std::vector<double> xs(A.n, 0.0), xb(A.n, 0.0);
-      const auto solo = dist::cg(ms, A, B, xs, 200, 1e-10);
-      const auto batch = dist::cg_batch(mb, A, B, xb, 1, 200, 1e-10);
-      EXPECT_TRUE(bits_equal(xs, xb)) << "cg P=" << P;
-      EXPECT_EQ(solo.iterations, batch.rhs[0].iterations);
-      expect_counters_equal(ms, mb);
-    }
-    for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
-      CaCgOptions opt;
-      opt.s = 4;
-      opt.tol = 1e-10;
-      opt.mode = mode;
-      dist::Machine ms = make_machine(P), mb = make_machine(P);
-      std::vector<double> xs(A.n, 0.0), xb(A.n, 0.0);
-      const auto solo = dist::ca_cg(ms, A, B, xs, opt);
-      const auto batch = dist::ca_cg_batch(mb, A, B, xb, 1, opt);
-      EXPECT_TRUE(bits_equal(xs, xb))
-          << "ca_cg P=" << P << " mode=" << int(mode);
-      EXPECT_EQ(solo.iterations, batch.rhs[0].iterations);
-      expect_counters_equal(ms, mb);
+  const std::size_t n = A.n, nrhs = 3;
+  const auto B = panel_for(A, nrhs, 13);
+  const auto column = [&](std::span<const double> V, std::size_t j) {
+    return V.subspan(j * n, n);
+  };
+  {
+    dist::Machine m = make_machine(1);
+    std::vector<double> xd(n * nrhs, 0.0);
+    const auto rd = dist::cg_batch(m, A, B, xd, nrhs, 200, 1e-10);
+    for (std::size_t j = 0; j < nrhs; ++j) {
+      std::vector<double> xs(n, 0.0);
+      const auto rs = krylov::cg(A, column(B, j), xs, 200, 1e-10);
+      EXPECT_TRUE(bits_equal(column(xd, j), xs)) << "cg rhs " << j;
+      EXPECT_EQ(rd.rhs[j].iterations, rs.iterations) << "cg rhs " << j;
+      EXPECT_EQ(rd.rhs[j].converged, rs.converged) << "cg rhs " << j;
     }
   }
-}
-
-TEST(DistBatch, P1BitwiseEqualSharedBatch) {
-  const auto A = sparse::stencil_1d(130, 1);
-  const std::size_t nrhs = 3;
-  const auto B = panel_for(A, nrhs, 13);
   for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
     CaCgOptions opt;
     opt.s = 4;
     opt.tol = 1e-10;
     opt.mode = mode;
     dist::Machine m = make_machine(1);
-    std::vector<double> xd(A.n * nrhs, 0.0), xs(A.n * nrhs, 0.0);
+    std::vector<double> xd(n * nrhs, 0.0);
     const auto rd = dist::ca_cg_batch(m, A, B, xd, nrhs, opt);
-    const auto rs = krylov::ca_cg_batch(A, B, xs, nrhs, opt);
-    EXPECT_TRUE(bits_equal(xd, xs)) << "mode=" << int(mode);
     for (std::size_t j = 0; j < nrhs; ++j) {
-      EXPECT_EQ(rd.rhs[j].iterations, rs.rhs[j].iterations) << "rhs " << j;
+      std::vector<double> xs(n, 0.0);
+      const auto rs = krylov::ca_cg(A, column(B, j), xs, opt);
+      EXPECT_TRUE(bits_equal(column(xd, j), xs))
+          << "mode=" << int(mode) << " rhs " << j;
+      EXPECT_EQ(rd.rhs[j].iterations, rs.iterations)
+          << "mode=" << int(mode) << " rhs " << j;
+      EXPECT_EQ(rd.rhs[j].converged, rs.converged)
+          << "mode=" << int(mode) << " rhs " << j;
     }
   }
 }
 
 TEST(DistBatch, EarlyExitLeavesOthersBitwise) {
+  // Column 0 is zero: it converges before the first step.  Columns 2
+  // and 3 carry a NaN and an Inf: a non-finite right-hand side must
+  // retire unconverged before its first step (Inf <= tol^2 Inf would
+  // pass the stopping test, and a NaN delta never stops).  Column 1
+  // runs the full solve, bitwise-equal to its solo solve.
   const auto A = sparse::stencil_1d(130, 1);
-  const std::size_t n = A.n;
+  const std::size_t n = A.n, nrhs = 4, P = 4;
   const auto hard = panel_for(A, 1, 17);
-  std::vector<double> B(2 * n, 0.0);
-  std::copy(hard.begin(), hard.end(), B.begin() + std::ptrdiff_t(n));
+  std::vector<double> B(nrhs * n, 0.0);
+  for (std::size_t j = 1; j < nrhs; ++j) {
+    std::copy(hard.begin(), hard.end(), B.begin() + std::ptrdiff_t(j * n));
+  }
+  B[2 * n + 57] = std::numeric_limits<double>::quiet_NaN();
+  B[3 * n + 57] = std::numeric_limits<double>::infinity();
+  const auto check = [&](const dist::KrylovBatchResult& batch,
+                         const dist::KrylovResult& solo,
+                         std::span<const double> xs,
+                         std::span<const double> xb, const std::string& what) {
+    ASSERT_EQ(batch.rhs.size(), nrhs) << what;
+    EXPECT_TRUE(batch.rhs[0].converged) << what;
+    EXPECT_EQ(batch.rhs[0].iterations, 0u) << what;
+    EXPECT_TRUE(solo.converged) << what;
+    EXPECT_EQ(solo.iterations, batch.rhs[1].iterations) << what;
+    EXPECT_TRUE(bits_equal(xs, xb.subspan(n, n))) << what;
+    for (const std::size_t j : {std::size_t(2), std::size_t(3)}) {
+      EXPECT_FALSE(batch.rhs[j].converged) << what << " rhs " << j;
+      EXPECT_EQ(batch.rhs[j].iterations, 0u) << what << " rhs " << j;
+      EXPECT_FALSE(std::isfinite(batch.rhs[j].residual_norm))
+          << what << " rhs " << j;
+    }
+  };
+  {
+    dist::Machine ms = make_machine(P), mb = make_machine(P);
+    std::vector<double> xs(n, 0.0), xb(nrhs * n, 0.0);
+    const auto solo = dist::cg(ms, A, hard, xs, 200, 1e-10);
+    const auto batch = dist::cg_batch(mb, A, B, xb, nrhs, 200, 1e-10);
+    check(batch, solo, xs, xb, "cg");
+  }
   for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
     CaCgOptions opt;
     opt.s = 4;
     opt.tol = 1e-10;
     opt.mode = mode;
-    dist::Machine ms = make_machine(4), mb = make_machine(4);
-    std::vector<double> xs(n, 0.0), xb(2 * n, 0.0);
+    dist::Machine ms = make_machine(P), mb = make_machine(P);
+    std::vector<double> xs(n, 0.0), xb(nrhs * n, 0.0);
     const auto solo = dist::ca_cg(ms, A, hard, xs, opt);
-    const auto batch = dist::ca_cg_batch(mb, A, B, xb, 2, opt);
-    EXPECT_TRUE(batch.rhs[0].converged);
-    EXPECT_EQ(batch.rhs[0].iterations, 0u);
-    EXPECT_EQ(solo.iterations, batch.rhs[1].iterations);
-    EXPECT_TRUE(bits_equal(xs, std::span<const double>(xb).subspan(n, n)));
+    const auto batch = dist::ca_cg_batch(mb, A, B, xb, nrhs, opt);
+    check(batch, solo, xs, xb, "ca_cg mode=" + std::to_string(int(mode)));
   }
 }
 

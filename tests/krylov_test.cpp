@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "krylov/cacg.hpp"
@@ -165,6 +166,34 @@ TEST(Section8, StreamingWritesPerStepApproachThreeNOverS) {
       double(res.traffic.slow_writes) / double(res.iterations);
   // W12 = O(n/s) per step: 3n/s plus the initial setup amortized.
   EXPECT_LT(per_step, 5.0 * double(a.n) / double(s));
+}
+
+TEST(NonFiniteRhs, RetiresUnconvergedBeforeTheFirstStep) {
+  // An Inf in b passes the stopping test as Inf <= tol^2 Inf, and a
+  // NaN never passes it; neither may report convergence or take a
+  // step.
+  const auto a = sparse::stencil_1d(130, 1);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    auto b = rhs_for(a, 43);
+    b[57] = bad;
+    std::vector<double> x(a.n, 0.0);
+    const auto res = cg(a, b, x, 200, 1e-10);
+    EXPECT_FALSE(res.converged) << "cg b[57]=" << bad;
+    EXPECT_EQ(res.iterations, 0u) << "cg b[57]=" << bad;
+    for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+      CaCgOptions opt;
+      opt.s = 4;
+      opt.tol = 1e-10;
+      opt.mode = mode;
+      std::vector<double> xc(a.n, 0.0);
+      const auto rc = ca_cg(a, b, xc, opt);
+      EXPECT_FALSE(rc.converged)
+          << "ca_cg mode=" << int(mode) << " b[57]=" << bad;
+      EXPECT_EQ(rc.iterations, 0u)
+          << "ca_cg mode=" << int(mode) << " b[57]=" << bad;
+    }
+  }
 }
 
 TEST(CaCg, RejectsZeroS) {
